@@ -11,7 +11,9 @@
 #ifndef GENCACHE_BENCH_BENCH_UTIL_H
 #define GENCACHE_BENCH_BENCH_UTIL_H
 
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -19,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "support/logging.h"
 #include "support/simd.h"
 #include "support/thread_pool.h"
 #include "workload/profile.h"
@@ -26,7 +29,8 @@
 namespace gencache::bench {
 
 /** Scale factor from GENCACHE_SCALE (default 1.0, clamped to
- *  [0.01, 10]). */
+ *  [0.01, 10]). A value that is not one whole, finite number is
+ *  rejected with a warning in favour of the default. */
 inline double
 scaleFactor()
 {
@@ -34,7 +38,18 @@ scaleFactor()
     if (env == nullptr) {
         return 1.0;
     }
-    double value = std::atof(env);
+    // Accept only a complete decimal number: atof() turned "abc"
+    // into 0, which the clamp below then silently shrank to 0.01.
+    char *end = nullptr;
+    errno = 0;
+    double value = std::strtod(env, &end);
+    if (end == env || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(value)) {
+        warn("ignoring invalid GENCACHE_SCALE='{}' (not a finite "
+             "number); using 1.0",
+             env);
+        return 1.0;
+    }
     if (value < 0.01) {
         return 0.01;
     }

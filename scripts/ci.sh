@@ -18,19 +18,24 @@
 #      plain build and (unless --fast) again under ASan+UBSan; the
 #      `tournament`-labelled determinism/Pareto tests run in step 1
 #      with the rest of the suite
-#   6. GENCACHE_SIMD=OFF build: the scalar-only fallback must build
+#   6. repository benchmark smoke test (python3 perfbench/smoke_test.py,
+#      plain build under .bench_build/): every workload twice at tiny
+#      size — digests must match run to run, every BENCHMARK.json
+#      metric must print with its unit, and a corrupted golden digest
+#      must be caught
+#   7. GENCACHE_SIMD=OFF build: the scalar-only fallback must build
 #      and pass the replay bit-identity and SIMD-kernel tests
-#   7. gencheck over the example workloads — topology lints, live
+#   8. gencheck over the example workloads — topology lints, live
 #      runs, legacy sim replays, and batched-replay end states; any
 #      diagnostic of severity error (or worse) fails the pipeline
-#   8. gencheck temporal over recorded journals: record gzip and mpeg
+#   9. gencheck temporal over recorded journals: record gzip and mpeg
 #      event streams with logreplay_tool, then replay them offline
 #      through the temporal invariant engine (gencheck --journal);
 #      also exercises the distinct load-failure exit code (3)
-#   9. clang -Wthread-safety -Werror compile of the annotated tree
+#  10. clang -Wthread-safety -Werror compile of the annotated tree
 #      (ThreadPool, shared sweep/tournament state); self-skips with a
 #      notice when no clang toolchain is installed
-#  10. formatting check (no-op when clang-format is absent)
+#  11. formatting check (no-op when clang-format is absent)
 #
 # Usage: scripts/ci.sh [--fast]
 #   --fast skips the sanitizer builds (steps 3, 4, and the sanitized
@@ -96,6 +101,9 @@ if [[ $fast -eq 0 ]]; then
     step "smoke policy tournament (ASan+UBSan build)"
     (cd build-asan && bench/policy_tournament --smoke)
 fi
+
+step "repository benchmark smoke test (plain build)"
+python3 perfbench/smoke_test.py
 
 step "GENCACHE_SIMD=OFF scalar-fallback build + replay/simd tests"
 cmake -B build-nosimd -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -1,5 +1,6 @@
 #include "sim/experiment.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "codecache/unified_cache.h"
@@ -56,6 +57,30 @@ BenchmarkComparison::overheadRatioPct(std::size_t i) const
            base * 100.0;
 }
 
+std::uint64_t
+managedCapacityBytes(std::uint64_t peak_bytes, double factor)
+{
+    return std::max<std::uint64_t>(
+        4096, static_cast<std::uint64_t>(std::llround(
+                  static_cast<double>(peak_bytes) * factor)));
+}
+
+namespace {
+
+/** Replay @p runner's compiled log against @p manager alone: a
+ *  one-lane blocked pass sharing the runner's cost tables. */
+SimResult
+replayOneLane(const ExperimentRunner &runner,
+              cache::CacheManager &manager)
+{
+    BatchedReplay replay(runner.compiled());
+    replay.setCostTables(&runner.costTables());
+    replay.addLane(manager);
+    return replay.run().front();
+}
+
+} // namespace
+
 ExperimentRunner::ExperimentRunner(workload::BenchmarkProfile profile)
     : profile_(std::move(profile)),
       log_(workload::generateWorkload(profile_))
@@ -92,10 +117,9 @@ ExperimentRunner::runUnbounded() const
         }
     }
     cache::UnifiedCacheManager manager(0);
-    CacheSimulator simulator(manager);
-    SimResult result = simulator.run(log_);
+    SimResult result = replayOneLane(*this, manager);
     // The list cache tracks its own peak; prefer it (it includes the
-    // occupancy between simulator samples).
+    // occupancy between replay samples).
     result.peakBytes = std::max(result.peakBytes, manager.peakBytes());
     MutexLock lock(memoMutex_);
     if (!unbounded_.has_value()) {
@@ -119,8 +143,7 @@ ExperimentRunner::runUnified(std::uint64_t capacity_bytes) const
     }
     cache::UnifiedCacheManager manager(
         capacity_bytes, cache::LocalPolicy::PseudoCircular);
-    CacheSimulator simulator(manager);
-    SimResult result = simulator.run(log_);
+    SimResult result = replayOneLane(*this, manager);
     MutexLock lock(memoMutex_);
     return unifiedByCapacity_.emplace(capacity_bytes, result)
         .first->second;
@@ -199,7 +222,7 @@ ExperimentRunner::runTopologyBatch(
 
 BenchmarkComparison
 ExperimentRunner::compare(const std::vector<GenerationalLayout> &layouts,
-                          ThreadPool *pool) const
+                          ThreadPool * /*pool*/) const
 {
     BenchmarkComparison comparison;
     comparison.benchmark = profile_.name;
@@ -207,41 +230,11 @@ ExperimentRunner::compare(const std::vector<GenerationalLayout> &layouts,
 
     comparison.unbounded = runUnbounded();
     comparison.maxCacheBytes = comparison.unbounded.peakBytes;
-    comparison.capacityBytes = static_cast<std::uint64_t>(
-        std::llround(static_cast<double>(comparison.maxCacheBytes) *
-                     kCachePressureFactor));
-    if (comparison.capacityBytes < 4096) {
-        comparison.capacityBytes = 4096;
-    }
-
+    comparison.capacityBytes =
+        managedCapacityBytes(comparison.maxCacheBytes);
     comparison.unified = runUnified(comparison.capacityBytes);
-
-    std::optional<ThreadPool> local;
-    if (pool == nullptr && layouts.size() > 1 &&
-        ThreadPool::defaultThreadCount() > 1) {
-        local.emplace();
-        pool = &*local;
-    }
-    if (pool != nullptr && pool->size() > 1 && layouts.size() > 1) {
-        std::vector<std::future<SimResult>> futures;
-        futures.reserve(layouts.size());
-        for (const GenerationalLayout &layout : layouts) {
-            futures.push_back(pool->submit([this, &comparison,
-                                            &layout]() {
-                return runGenerational(comparison.capacityBytes,
-                                       layout);
-            }));
-        }
-        comparison.generational.reserve(layouts.size());
-        for (std::future<SimResult> &future : futures) {
-            comparison.generational.push_back(future.get());
-        }
-    } else if (!layouts.empty()) {
-        // Serial: one batched streaming pass over the compiled log
-        // covers every layout (bit-identical to per-layout runs).
-        comparison.generational =
-            runGenerationalBatch(comparison.capacityBytes, layouts);
-    }
+    comparison.generational =
+        runGenerationalBatch(comparison.capacityBytes, layouts);
     return comparison;
 }
 

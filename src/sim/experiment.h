@@ -12,13 +12,18 @@
  *     Table 2 instruction overheads (Fig 11).
  *
  * ExperimentRunner generates the benchmark's access log once, up
- * front, and every replay — unbounded, unified, generational — reads
- * that shared immutable log. All replay entry points are const and
- * safe to call concurrently: each builds a private cache hierarchy,
- * so independent configurations fan out across a ThreadPool (see
- * compare() and sim::runSweep). The unbounded pre-pass and the
+ * front, and compiles it once on first use. Every step — unbounded,
+ * unified, generational — replays that shared compiled log through the
+ * blocked kernel (sim::BatchedReplay), pricing costs from one shared
+ * set of CostTables: the baselines as one-lane passes, the layouts of
+ * compare() as the lanes of a single pass. All replay entry points are
+ * const and safe to call concurrently: each builds a private cache
+ * hierarchy, so independent configurations can fan out across a
+ * ThreadPool (see sim::runSweep). The unbounded pre-pass and the
  * unified baselines are memoized (keyed by capacity) so repeated
- * methodology steps never replay them twice.
+ * methodology steps never replay them twice. runGenerational() and
+ * runTopology() keep the legacy per-event CacheSimulator loop as the
+ * reference the identity tests compare against.
  */
 
 #ifndef GENCACHE_SIM_EXPERIMENT_H
@@ -61,6 +66,12 @@ std::vector<GenerationalLayout> paperLayouts();
 
 /** The paper's fraction of maxCache given to managed caches. */
 constexpr double kCachePressureFactor = 0.5;
+
+/** The managed cache size for an unbounded peak of @p peak_bytes:
+ *  @p factor of the peak, rounded to the nearest byte, and never
+ *  below one 4 KiB page. */
+std::uint64_t managedCapacityBytes(
+    std::uint64_t peak_bytes, double factor = kCachePressureFactor);
 
 /** All per-benchmark results of the §6 methodology. */
 struct BenchmarkComparison
@@ -109,11 +120,14 @@ class ExperimentRunner
      *  replay (and the tournament's thousands of configurations). */
     const CostTables &costTables() const;
 
-    /** Step 1: unbounded replay; returns peak occupancy. Memoized. */
+    /** Step 1: unbounded replay of compiled() as a one-lane blocked
+     *  pass; the result's peakBytes is the larger of the replay's
+     *  samples and the unbounded cache's own peak. Memoized. */
     SimResult runUnbounded() const;
 
-    /** Replay against a unified pseudo-circular cache of
-     *  @p capacity_bytes. Memoized per capacity. */
+    /** Replay compiled() against a unified pseudo-circular cache of
+     *  @p capacity_bytes as a one-lane blocked pass sharing
+     *  costTables(). Memoized per capacity. */
     SimResult runUnified(std::uint64_t capacity_bytes) const;
 
     /** Replay against a generational hierarchy splitting
@@ -145,10 +159,13 @@ class ExperimentRunner
         const std::vector<cache::TierTopology> &topologies,
         ReplayKernel kernel = ReplayKernel::Blocked) const;
 
-    /** The whole §6 pipeline with the given layouts. Per-layout runs
-     *  fan out across @p pool when it has more than one worker; with
-     *  no pool the environment default (GENCACHE_THREADS) decides.
-     *  Results are identical to a serial run regardless. */
+    /** The whole §6 pipeline with the given layouts: the memoized
+     *  baselines, then every layout as one lane of a single
+     *  runGenerationalBatch() pass at managedCapacityBytes() of the
+     *  unbounded peak. @p pool is ignored: the layouts share one
+     *  stream of the compiled log, and giving each its own pass on a
+     *  pool measured no faster than the single pass. GENCACHE_THREADS
+     *  does not reach compare(). */
     BenchmarkComparison compare(
         const std::vector<GenerationalLayout> &layouts,
         ThreadPool *pool = nullptr) const;

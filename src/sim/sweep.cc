@@ -88,10 +88,7 @@ runSweep(const ExperimentRunner &runner,
 
     SweepResult result;
     result.benchmark = profile.name;
-    result.capacityBytes = std::max<std::uint64_t>(
-        4096, static_cast<std::uint64_t>(std::llround(
-                  static_cast<double>(unbounded.peakBytes) *
-                  kCachePressureFactor)));
+    result.capacityBytes = managedCapacityBytes(unbounded.peakBytes);
 
     SimResult unified = runner.runUnified(result.capacityBytes);
     result.unifiedMissRate = unified.missRate();
@@ -235,10 +232,7 @@ runTopologySweep(const ExperimentRunner &runner,
 
     TopologySweepResult result;
     result.benchmark = runner.profile().name;
-    result.capacityBytes = std::max<std::uint64_t>(
-        4096, static_cast<std::uint64_t>(std::llround(
-                  static_cast<double>(unbounded.peakBytes) *
-                  kCachePressureFactor)));
+    result.capacityBytes = managedCapacityBytes(unbounded.peakBytes);
 
     SimResult unified = runner.runUnified(result.capacityBytes);
     result.unifiedMissRate = unified.missRate();

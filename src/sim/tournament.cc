@@ -142,14 +142,6 @@ const std::vector<cache::LocalPolicy> kPolicies = {
     cache::LocalPolicy::Brrip,
 };
 
-std::uint64_t
-capacityBytes(std::uint64_t peak, double factor)
-{
-    return std::max<std::uint64_t>(
-        4096, static_cast<std::uint64_t>(std::llround(
-                  static_cast<double>(peak) * factor)));
-}
-
 } // namespace
 
 std::vector<TournamentConfig>
@@ -285,7 +277,7 @@ runTournament(const std::vector<workload::BenchmarkProfile> &profiles,
                 peaks[p] = runners[p]->runUnbounded().peakBytes;
                 for (double factor : factors) {
                     runners[p]->runUnified(
-                        capacityBytes(peaks[p], factor));
+                        managedCapacityBytes(peaks[p], factor));
                 }
             }));
         }
@@ -317,7 +309,7 @@ runTournament(const std::vector<workload::BenchmarkProfile> &profiles,
                     managers.reserve(last - first);
                     for (std::size_t c = first; c < last; ++c) {
                         managers.push_back(configs[c].topology.build(
-                            capacityBytes(
+                            managedCapacityBytes(
                                 peaks[p],
                                 configs[c].capacityFactor)));
                         replay.addLane(*managers.back());
@@ -358,7 +350,7 @@ runTournament(const std::vector<workload::BenchmarkProfile> &profiles,
         for (std::size_t p = 0; p < profiles.size(); ++p) {
             const SimResult &sim = results[p][c];
             const SimResult unified = runners[p]->runUnified(
-                capacityBytes(peaks[p], config.capacityFactor));
+                managedCapacityBytes(peaks[p], config.capacityFactor));
             missSum += sim.missRate();
             const double baseMiss = unified.missRate();
             reductionSum +=

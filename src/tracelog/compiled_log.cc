@@ -1,12 +1,83 @@
 #include "tracelog/compiled_log.h"
 
 #include <algorithm>
+#include <bit>
 #include <unordered_map>
+#include <utility>
 
 #include "support/logging.h"
 #include "support/simd.h"
 
 namespace gencache::tracelog {
+
+namespace {
+
+/**
+ * compile()'s TraceId -> dense id map: open addressing with linear
+ * probing over a power-of-two table kept at most half full, slots
+ * picked by Fibonacci hashing. compile() probes it once per trace
+ * event, and std::unordered_map's prime-modulo bucket and node chase
+ * made that probe about half of compile's cost.
+ */
+class DenseIdMap
+{
+  public:
+    explicit DenseIdMap(std::size_t expected)
+    {
+        rehash(std::bit_ceil(std::max<std::size_t>(16, 2 * expected)));
+    }
+
+    /** The dense id of @p id, assigning @p next when @p id is new.
+     *  @return the id and whether it was assigned by this call. */
+    std::pair<DenseTraceId, bool> findOrAssign(cache::TraceId id,
+                                               DenseTraceId next)
+    {
+        Slot &slot = probe(id);
+        if (slot.densePlusOne != 0) {
+            return {slot.densePlusOne - 1, false};
+        }
+        slot = Slot{id, next + 1};
+        if (2 * ++size_ > slots_.size()) {
+            rehash(2 * slots_.size());
+        }
+        return {next, true};
+    }
+
+  private:
+    struct Slot
+    {
+        cache::TraceId id = 0;
+        DenseTraceId densePlusOne = 0; ///< 0 marks an empty slot
+    };
+
+    Slot &probe(cache::TraceId id)
+    {
+        const std::size_t mask = slots_.size() - 1;
+        std::size_t i = (id * 0x9E3779B97F4A7C15ull) >> shift_;
+        while (slots_[i].densePlusOne != 0 && slots_[i].id != id) {
+            i = (i + 1) & mask;
+        }
+        return slots_[i];
+    }
+
+    void rehash(std::size_t capacity)
+    {
+        std::vector<Slot> old =
+            std::exchange(slots_, std::vector<Slot>(capacity));
+        shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+        for (const Slot &slot : old) {
+            if (slot.densePlusOne != 0) {
+                probe(slot.id) = slot;
+            }
+        }
+    }
+
+    std::vector<Slot> slots_;
+    unsigned shift_ = 0;
+    std::size_t size_ = 0;
+};
+
+} // namespace
 
 CompiledLog
 CompiledLog::compile(const AccessLog &log)
@@ -25,14 +96,15 @@ CompiledLog::compile(const AccessLog &log)
     out.trace_.reserve(count);
     out.size_.reserve(count);
     out.module_.reserve(count);
+    out.execPinned_.reserve(count);
 
-    std::unordered_map<cache::TraceId, DenseTraceId> remap;
+    DenseIdMap remap(log.createdTraceCount());
     std::unordered_map<cache::ModuleId, std::size_t> moduleSlot;
     std::vector<bool> created;
     std::vector<std::uint8_t> pinWanted;
 
     auto dense_of = [&](cache::TraceId id) {
-        auto [it, fresh] = remap.emplace(
+        auto [dense, fresh] = remap.findOrAssign(
             id, static_cast<DenseTraceId>(out.originalId_.size()));
         if (fresh) {
             out.originalId_.push_back(id);
@@ -41,7 +113,7 @@ CompiledLog::compile(const AccessLog &log)
             created.push_back(false);
             pinWanted.push_back(0);
         }
-        return it->second;
+        return dense;
     };
 
     for (std::size_t i = 0; i < count; ++i) {

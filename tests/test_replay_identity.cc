@@ -13,6 +13,7 @@
 #include "sim/experiment.h"
 #include "sim/simulator.h"
 #include "sim/sweep.h"
+#include "support/thread_pool.h"
 #include "workload/profile.h"
 
 namespace {
@@ -183,6 +184,70 @@ TEST(ReplayIdentity, CompiledSimulatorMatchesLegacyGenerational)
     sim::SimResult fast = fastSim.run(runner.compiled());
 
     expectIdentical(legacy, fast, "generational compiled fast path");
+}
+
+// The runner's §6 steps on the blocked kernel — the one-lane unbounded
+// and unified baselines and compare()'s single batched pass (handed a
+// 2-worker pool, which it ignores) — against the legacy per-event
+// loop. gcc is a SPEC profile; word adds mid-run DLL unloads. Both
+// run at a quarter of their size, which keeps every event kind.
+TEST(ReplayIdentity, RunnerBaselinesMatchLegacy)
+{
+    struct Case
+    {
+        const char *profile;
+        bool unloads;
+    };
+    ThreadPool pool(2);
+    for (const Case &c : {Case{"gcc", false}, Case{"word", true}}) {
+        workload::BenchmarkProfile profile =
+            workload::findProfile(c.profile);
+        profile.finalCacheKb *= 0.25;
+        profile.durationSec *= 0.25;
+        sim::ExperimentRunner runner(profile);
+        const std::string what = c.profile;
+
+        bool unloads = false;
+        bool pins = false;
+        for (const tracelog::Event &event : runner.log().events()) {
+            unloads |= event.type == tracelog::EventType::ModuleUnload;
+            pins |= event.type == tracelog::EventType::Pin;
+        }
+        EXPECT_EQ(unloads, c.unloads) << what;
+        EXPECT_TRUE(pins) << what;
+
+        cache::UnifiedCacheManager unboundedManager(0);
+        sim::CacheSimulator unboundedSim(unboundedManager);
+        sim::SimResult unbounded = unboundedSim.run(runner.log());
+        unbounded.peakBytes =
+            std::max(unbounded.peakBytes, unboundedManager.peakBytes());
+        expectIdentical(unbounded, runner.runUnbounded(),
+                        what + " unbounded");
+
+        const std::uint64_t capacity =
+            sim::managedCapacityBytes(unbounded.peakBytes);
+        cache::UnifiedCacheManager unifiedManager(
+            capacity, cache::LocalPolicy::PseudoCircular);
+        sim::CacheSimulator unifiedSim(unifiedManager);
+        expectIdentical(unifiedSim.run(runner.log()),
+                        runner.runUnified(capacity), what + " unified");
+
+        const std::vector<sim::GenerationalLayout> layouts =
+            sim::paperLayouts();
+        sim::BenchmarkComparison comparison =
+            runner.compare(layouts, &pool);
+        EXPECT_EQ(comparison.maxCacheBytes, unbounded.peakBytes) << what;
+        EXPECT_EQ(comparison.capacityBytes, capacity) << what;
+        ASSERT_EQ(comparison.generational.size(), layouts.size());
+        for (std::size_t i = 0; i < layouts.size(); ++i) {
+            sim::SimResult legacy =
+                runner.runGenerational(capacity, layouts[i]);
+            EXPECT_EQ(comparison.generational[i].manager, legacy.manager)
+                << what;
+            expectIdentical(legacy, comparison.generational[i],
+                            what + " " + layouts[i].label);
+        }
+    }
 }
 
 // Whole-sweep equivalence of the two engines, serial and threaded.

@@ -404,6 +404,33 @@ TEST(CompiledLog, DenseRemapPreservesIdentity)
     }
 }
 
+TEST(CompiledLog, DenseRemapGrowsPastTheCreatedCount)
+{
+    // Pins may name traces the log never creates, so the remap must
+    // outgrow its created-count sizing hint and keep every id.
+    AccessLog log;
+    log.append(Event::traceCreate(0, 5, 64, cache::kNoModule));
+    const cache::TraceId kIds = 1000;
+    for (cache::TraceId id = 0; id < kIds; ++id) {
+        log.append(Event::pin(static_cast<TimeUs>(id + 1), id << 32));
+    }
+    for (cache::TraceId id = kIds; id-- > 0;) {
+        log.append(Event::unpin(static_cast<TimeUs>(2 * kIds - id),
+                                id << 32));
+    }
+    CompiledLog compiled = CompiledLog::compile(log);
+    ASSERT_EQ(compiled.traceCount(), kIds + 1);
+    EXPECT_EQ(compiled.originalId(0), 5u);
+    for (std::size_t i = 0; i < log.size(); ++i) {
+        EXPECT_EQ(compiled.originalId(compiled.traces()[i]), log[i].trace)
+            << i;
+    }
+    for (cache::TraceId id = 0; id < kIds; ++id) {
+        EXPECT_EQ(compiled.originalId(static_cast<DenseTraceId>(id + 1)),
+                  id << 32);
+    }
+}
+
 TEST(CompiledLog, ModuleRangesCoverLoadsAndUnloads)
 {
     AccessLog log = sampleLog();

@@ -7,7 +7,9 @@
  * the upgrade immediately. This bench compares the two policies at
  * identical layouts: eager promotion moves hot traces out of
  * probation sooner (freeing probation space) at the cost of
- * promoting the occasional one-hit wonder.
+ * promoting the occasional one-hit wonder. Both policies replay as
+ * the two lanes of one runGenerationalBatch() pass at the managed
+ * capacity that compare() and fig9 use.
  */
 
 #include <cstdio>
@@ -43,7 +45,7 @@ main()
         sim::ExperimentRunner runner(profile);
         sim::SimResult unbounded = runner.runUnbounded();
         std::uint64_t capacity =
-            std::max<std::uint64_t>(4096, unbounded.peakBytes / 2);
+            sim::managedCapacityBytes(unbounded.peakBytes);
         sim::SimResult unified = runner.runUnified(capacity);
 
         sim::GenerationalLayout lazy;
@@ -52,14 +54,15 @@ main()
         lazy.probationFrac = 0.10;
         lazy.promotionThreshold = 1;
         lazy.eagerPromotion = false;
-        sim::SimResult lazy_result =
-            runner.runGenerational(capacity, lazy);
 
         sim::GenerationalLayout eager = lazy;
         eager.label = "eager";
         eager.eagerPromotion = true;
-        sim::SimResult eager_result =
-            runner.runGenerational(capacity, eager);
+
+        std::vector<sim::SimResult> results =
+            runner.runGenerationalBatch(capacity, {lazy, eager});
+        const sim::SimResult &lazy_result = results[0];
+        const sim::SimResult &eager_result = results[1];
 
         auto reduction = [&](const sim::SimResult &result) {
             return unified.missRate() > 0.0

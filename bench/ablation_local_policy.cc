@@ -8,15 +8,18 @@
  * management superior to LRU once overhead and fragmentation are
  * accounted for, and preemptive flushing discards useful long-lived
  * traces. This bench reports both miss rates and the Table 2
- * instruction overheads so the trade-off is visible.
+ * instruction overheads so the trade-off is visible. The four
+ * policies replay as the lanes of one BatchedReplay pass at the
+ * managed capacity that compare() and fig9 use.
  */
 
 #include <cstdio>
+#include <memory>
 
 #include "bench_util.h"
 #include "codecache/unified_cache.h"
+#include "sim/batched_replay.h"
 #include "sim/experiment.h"
-#include "sim/simulator.h"
 #include "stats/summary.h"
 #include "stats/table.h"
 #include "support/format.h"
@@ -55,21 +58,30 @@ main()
         sim::ExperimentRunner runner(profile);
         sim::SimResult unbounded = runner.runUnbounded();
         std::uint64_t capacity =
-            std::max<std::uint64_t>(4096, unbounded.peakBytes / 2);
+            sim::managedCapacityBytes(unbounded.peakBytes);
+
+        std::vector<std::unique_ptr<cache::UnifiedCacheManager>>
+            managers;
+        sim::BatchedReplay replay(runner.compiled());
+        replay.setCostTables(&runner.costTables());
+        for (cache::LocalPolicy policy : kPolicies) {
+            managers.push_back(
+                std::make_unique<cache::UnifiedCacheManager>(capacity,
+                                                             policy));
+            replay.addLane(*managers.back());
+        }
+        std::vector<sim::SimResult> results = replay.run();
 
         std::vector<std::string> row = {profile.name};
-        int column = 0;
-        for (cache::LocalPolicy policy : kPolicies) {
-            cache::UnifiedCacheManager manager(capacity, policy);
-            sim::CacheSimulator simulator(manager);
-            sim::SimResult result = simulator.run(runner.log());
+        for (std::size_t column = 0; column < results.size();
+             ++column) {
+            const sim::SimResult &result = results[column];
             totals[column].add(
                 static_cast<double>(result.overhead.total()));
             row.push_back(format("{} / {}",
                                  percent(result.missRate(), 2),
                                  withCommas(static_cast<std::int64_t>(
                                      result.overhead.total()))));
-            ++column;
         }
         table.addRow(row);
     }

@@ -4,7 +4,10 @@
  * maxCache * 0.5 (§6); this bench sweeps the pressure factor to show
  * how the generational advantage appears as soon as the cache stops
  * fitting the workload and grows as pressure rises — and that art,
- * whose working set exceeds any fraction, stays pathological.
+ * whose working set exceeds any fraction, stays pathological. Each
+ * column sizes the cache with sim::managedCapacityBytes, so the 0.50x
+ * column is exactly the capacity compare() and fig9 use, and replays
+ * the layout through runGenerationalBatch().
  */
 
 #include <cstdio>
@@ -44,14 +47,11 @@ main()
 
         std::vector<std::string> row = {profile.name};
         for (double pressure : kPressures) {
-            auto capacity = static_cast<std::uint64_t>(
-                static_cast<double>(unbounded.peakBytes) * pressure);
-            if (capacity < 4096) {
-                capacity = 4096;
-            }
+            std::uint64_t capacity =
+                sim::managedCapacityBytes(unbounded.peakBytes, pressure);
             sim::SimResult unified = runner.runUnified(capacity);
             sim::SimResult generational =
-                runner.runGenerational(capacity, layout);
+                runner.runGenerationalBatch(capacity, {layout}).front();
             double reduction =
                 unified.missRate() > 0.0
                     ? (1.0 - generational.missRate() /

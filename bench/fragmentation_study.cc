@@ -8,7 +8,9 @@
  * This bench replays interactive workloads against an address-accurate
  * pseudo-circular unified cache and reports the end-state free-space
  * fragmentation, wrap waste, and pinned-skip counts, plus a synthetic
- * stress case with heavy pinning.
+ * stress case with heavy pinning. Each workload replays through a
+ * one-lane BatchedReplay at the managed capacity that compare() and
+ * fig9 use.
  */
 
 #include <cstdio>
@@ -16,8 +18,8 @@
 #include "bench_util.h"
 #include "codecache/pseudo_circular_cache.h"
 #include "codecache/unified_cache.h"
+#include "sim/batched_replay.h"
 #include "sim/experiment.h"
-#include "sim/simulator.h"
 #include "stats/table.h"
 #include "support/format.h"
 #include "support/rng.h"
@@ -46,11 +48,13 @@ workloadStudy()
         sim::ExperimentRunner runner(profile);
         sim::SimResult unbounded = runner.runUnbounded();
         std::uint64_t capacity =
-            std::max<std::uint64_t>(4096, unbounded.peakBytes / 2);
+            sim::managedCapacityBytes(unbounded.peakBytes);
 
         cache::UnifiedCacheManager manager(capacity);
-        sim::CacheSimulator simulator(manager);
-        simulator.run(runner.log());
+        sim::BatchedReplay replay(runner.compiled());
+        replay.setCostTables(&runner.costTables());
+        replay.addLane(manager);
+        replay.run();
 
         const auto &local = dynamic_cast<const
             cache::PseudoCircularCache &>(manager.local());

@@ -15,12 +15,16 @@
  *                    to .gclogb paths (default v2; text paths and
  *                    loading are unaffected — the reader negotiates
  *                    the version from the file's magic).
- *   --compiled       replay through the compiled columnar log and
- *                    the simulator's batched fast path instead of
- *                    the legacy per-event loop. Results are
- *                    bit-identical; only the speed differs.
+ *
+ * <seed> is a whole decimal number; capacityKb a finite number > 0
+ * (omit it for the paper's 50%-of-maxCache point). Malformed values
+ * and unknown options are usage errors (exit 2). replay drives the
+ * per-event CacheSimulator over the loaded log: one pass needs no
+ * compiled form.
  */
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -29,9 +33,9 @@
 #include "codecache/unified_cache.h"
 #include "guest/synthetic_program.h"
 #include "runtime/runtime.h"
+#include "sim/experiment.h"
 #include "sim/simulator.h"
 #include "support/format.h"
-#include "tracelog/compiled_log.h"
 #include "tracelog/lifetime.h"
 #include "tracelog/serialize.h"
 #include "workload/generator.h"
@@ -52,10 +56,41 @@ usage()
                  "  logreplay_tool info <path>\n"
                  "options:\n"
                  "  --format v1|v2  binary version for generate/live"
-                 " (default v2)\n"
-                 "  --compiled      replay via the compiled columnar"
-                 " fast path\n");
+                 " (default v2)\n");
     return 2;
+}
+
+/** Parse all of @p text as a decimal seed; a sign, a blank or a
+ *  value past 2^64 - 1 is rejected. */
+bool
+parseSeed(const std::string &text, std::uint64_t &seed)
+{
+    if (text.empty() || text[0] < '0' || text[0] > '9') {
+        return false;
+    }
+    char *end = nullptr;
+    errno = 0;
+    seed = std::strtoull(text.c_str(), &end, 10);
+    return *end == '\0' && errno != ERANGE;
+}
+
+/** Parse all of @p text as a capacity in KB: finite, > 0, and at
+ *  least one byte that fits in 64 bits (0 bytes would mean an
+ *  unbounded cache). */
+bool
+parseCapacityKb(const std::string &text, std::uint64_t &bytes)
+{
+    char *end = nullptr;
+    double kb = std::strtod(text.c_str(), &end);
+    if (end == text.c_str() || *end != '\0' || !std::isfinite(kb)) {
+        return false;
+    }
+    double scaled = kb * 1024.0;
+    if (scaled < 1.0 || scaled >= 0x1p64) {
+        return false;
+    }
+    bytes = static_cast<std::uint64_t>(scaled);
+    return true;
 }
 
 int
@@ -116,34 +151,24 @@ cmdLive(std::uint64_t seed, const std::string &path,
     return 0;
 }
 
+/** Replay @p path against a unified cache of @p capacity bytes;
+ *  0 picks the paper's 50%-of-maxCache pressure point. */
 int
-cmdReplay(const std::string &path, double capacity_kb, bool compiled)
+cmdReplay(const std::string &path, std::uint64_t capacity)
 {
     tracelog::AccessLog log = tracelog::loadLog(path);
     log.validate();
-    std::uint64_t capacity = 0;
-    if (capacity_kb <= 0.0) {
-        // Default: the paper's 50%-of-maxCache pressure point.
+    if (capacity == 0) {
         cache::UnifiedCacheManager unbounded(0);
         sim::CacheSimulator pre(unbounded);
-        sim::SimResult first = pre.run(log);
-        capacity = std::max<std::uint64_t>(4096, first.peakBytes / 2);
-    } else {
-        capacity = static_cast<std::uint64_t>(capacity_kb * 1024.0);
+        capacity = sim::managedCapacityBytes(pre.run(log).peakBytes);
     }
 
     cache::UnifiedCacheManager manager(capacity);
     sim::CacheSimulator simulator(manager);
-    sim::SimResult result;
-    if (compiled) {
-        tracelog::CompiledLog fast = tracelog::CompiledLog::compile(log);
-        result = simulator.run(fast);
-    } else {
-        result = simulator.run(log);
-    }
-    std::printf("replayed '%s' against %s%s\n",
-                log.benchmark().c_str(), manager.name().c_str(),
-                compiled ? " (compiled fast path)" : "");
+    sim::SimResult result = simulator.run(log);
+    std::printf("replayed '%s' against %s\n", log.benchmark().c_str(),
+                manager.name().c_str());
     std::printf("lookups %llu, misses %llu (%s), evict+regen "
                 "overhead %s instructions\n",
                 static_cast<unsigned long long>(result.lookups),
@@ -184,13 +209,10 @@ main(int argc, char **argv)
     // Peel the options off; what remains are the positional
     // arguments, so every pre-flag invocation works unchanged.
     int binary_version = 2;
-    bool compiled = false;
     std::vector<std::string> args;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        if (arg == "--compiled") {
-            compiled = true;
-        } else if (arg == "--format") {
+        if (arg == "--format") {
             if (i + 1 >= argc) {
                 return usage();
             }
@@ -202,6 +224,10 @@ main(int argc, char **argv)
             } else {
                 return usage();
             }
+        } else if (arg.rfind("--", 0) == 0) {
+            std::fprintf(stderr, "logreplay_tool: unknown option '%s'\n",
+                         arg.c_str());
+            return usage();
         } else {
             args.push_back(arg);
         }
@@ -214,17 +240,27 @@ main(int argc, char **argv)
         return cmdGenerate(args[1], args[2], binary_version);
     }
     if (command == "live" && args.size() == 3) {
-        return cmdLive(static_cast<std::uint64_t>(
-                           std::strtoull(args[1].c_str(), nullptr,
-                                         10)),
-                       args[2], binary_version);
+        std::uint64_t seed = 0;
+        if (!parseSeed(args[1], seed)) {
+            std::fprintf(stderr,
+                         "logreplay_tool: <seed> wants a whole decimal "
+                         "number, got '%s'\n",
+                         args[1].c_str());
+            return usage();
+        }
+        return cmdLive(seed, args[2], binary_version);
     }
     if (command == "replay" &&
         (args.size() == 2 || args.size() == 3)) {
-        return cmdReplay(args[1],
-                         args.size() == 3 ? std::atof(args[2].c_str())
-                                          : 0.0,
-                         compiled);
+        std::uint64_t capacity = 0;
+        if (args.size() == 3 && !parseCapacityKb(args[2], capacity)) {
+            std::fprintf(stderr,
+                         "logreplay_tool: capacityKb wants a finite "
+                         "number > 0, got '%s'\n",
+                         args[2].c_str());
+            return usage();
+        }
+        return cmdReplay(args[1], capacity);
     }
     if (command == "info" && args.size() == 2) {
         return cmdInfo(args[1]);

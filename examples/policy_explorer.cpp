@@ -14,7 +14,10 @@
  *   threshold   probation promotion threshold (default 1)
  *
  * Prints the unified baseline and the requested generational layout
- * side by side, plus the per-generation flow statistics.
+ * side by side, plus the per-generation flow statistics. The managed
+ * budget is sim::managedCapacityBytes of the unbounded peak, and the
+ * layout replays once, as a one-lane BatchedReplay (the blocked kernel
+ * behind runGenerationalBatch()) whose manager is kept for the flows.
  */
 
 #include <cstdio>
@@ -22,6 +25,7 @@
 #include <string>
 
 #include "codecache/generational_cache.h"
+#include "sim/batched_replay.h"
 #include "sim/experiment.h"
 #include "stats/table.h"
 #include "support/format.h"
@@ -51,11 +55,8 @@ main(int argc, char **argv)
 
     sim::ExperimentRunner runner(profile);
     sim::SimResult unbounded = runner.runUnbounded();
-    auto capacity = static_cast<std::uint64_t>(
-        static_cast<double>(unbounded.peakBytes) * pressure);
-    if (capacity < 4096) {
-        capacity = 4096;
-    }
+    std::uint64_t capacity =
+        sim::managedCapacityBytes(unbounded.peakBytes, pressure);
 
     std::printf("benchmark '%s': maxCache %s, managed budget %s "
                 "(pressure %.2f)\n",
@@ -75,8 +76,12 @@ main(int argc, char **argv)
     layout.nurseryFrac = nursery_pct / 100.0;
     layout.probationFrac = probation_pct / 100.0;
     layout.promotionThreshold = threshold;
-    sim::SimResult generational =
-        runner.runGenerational(capacity, layout);
+    cache::GenerationalCacheManager manager(
+        layout.toConfig(capacity));
+    sim::BatchedReplay replay(runner.compiled());
+    replay.setCostTables(&runner.costTables());
+    replay.addLane(manager);
+    sim::SimResult generational = replay.run().front();
 
     TextTable table({"metric", "unified", layout.label});
     auto row = [&](const char *name, std::uint64_t a,
@@ -113,11 +118,7 @@ main(int argc, char **argv)
     std::printf("\nmiss rate reduction vs unified: %.1f%%\n",
                 reduction);
 
-    // Per-generation flow statistics (re-run to inspect the manager).
-    cache::GenerationalCacheManager manager(
-        layout.toConfig(capacity));
-    sim::CacheSimulator inspect(manager);
-    inspect.run(runner.log());
+    // Per-generation flow statistics of the replayed manager.
     std::printf("\nper-generation flows:\n");
     std::printf("  %-10s %10s %12s %12s %10s\n", "cache", "hits",
                 "promote-in", "promote-out", "deleted");

@@ -8,11 +8,11 @@
 #      racing shared-store processes) plus the fleet_replay smoke
 #      bench — the shared code store's shard locks under real races
 #   4. AddressSanitizer+UBSan build: first the `replay`-, `frontend`-
-#      and `tiers`-labelled bit-identity tests (compiled/batched
-#      replay vs the legacy loop, predecoded front end vs legacy
-#      dispatch, tier-pipeline adapters vs the frozen pre-refactor
-#      managers — the memory-unsafe-optimization tripwires), then the
-#      rest of the suite
+#      and `tiers`-labelled bit-identity tests (the blocked replay
+#      kernel vs the per-event CacheSimulator reference, predecoded
+#      front end vs legacy dispatch, tier-pipeline adapters vs the
+#      frozen pre-refactor managers — the memory-unsafe-optimization
+#      tripwires), then the rest of the suite
 #   5. smoke policy tournament (2 profiles x ~28 configurations) —
 #      the sharded multi-config replay driver end-to-end, run in the
 #      plain build and (unless --fast) again under ASan+UBSan; the
@@ -24,9 +24,11 @@
 #      metric must print with its unit, and a corrupted golden digest
 #      must be caught
 #   7. GENCACHE_SIMD=OFF build: the scalar-only fallback must build
-#      and pass the replay bit-identity and SIMD-kernel tests
+#      and pass every `replay`-labelled bit-identity test (selected by
+#      label, so a renamed test is not silently dropped) plus the
+#      SIMD-kernel and CompiledLog tests
 #   8. gencheck over the example workloads — topology lints, live
-#      runs, legacy sim replays, and batched-replay end states; any
+#      runs, per-event sim replays, and batched-replay end states; any
 #      diagnostic of severity error (or worse) fails the pipeline
 #   9. gencheck temporal over recorded journals: record gzip and mpeg
 #      event streams with logreplay_tool, then replay them offline
@@ -109,9 +111,9 @@ step "GENCACHE_SIMD=OFF scalar-fallback build + replay/simd tests"
 cmake -B build-nosimd -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DGENCACHE_SIMD=OFF >/tmp/gencache-nosimd-configure.log
 cmake --build build-nosimd -j "$jobs"
+ctest --test-dir build-nosimd --output-on-failure -L replay -j "$jobs"
 ctest --test-dir build-nosimd --output-on-failure \
-    -R "Simd|ReplayIdentity.BlockedKernelMatchesReferenceAcrossLaneCounts|CompiledLog" \
-    -j "$jobs"
+    -R "Simd|CompiledLog" -j "$jobs"
 
 step "gencheck on example workloads"
 # gencheck exits 1 on any error-severity diagnostic (its subjects

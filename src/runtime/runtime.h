@@ -80,8 +80,8 @@ struct RuntimeStats
  * emitted events and statistics (tests/test_frontend_identity.cc);
  * Predecoded is the default and replaces the per-block hash/map
  * lookups of the legacy path with dense-array reads over the
- * AddressSpace block index, mirroring ReplayEngine::Legacy as the
- * replay side's escape hatch.
+ * AddressSpace block index. Legacy stays selectable only as the
+ * identity tests' oracle.
  */
 enum class FrontEnd : std::uint8_t {
     Legacy,     ///< hash-map dispatch, re-decoded instruction walk

@@ -15,14 +15,11 @@ BatchedReplay::BatchedReplay(const tracelog::CompiledLog &log)
 BatchedReplay::~BatchedReplay() = default;
 
 std::size_t
-BatchedReplay::addLane(cache::CacheManager &manager,
-                       cost::CostModel model)
+BatchedReplay::addLane(cache::CacheManager &manager)
 {
     Lane lane;
     lane.manager = &manager;
     lane.pipeline = dynamic_cast<cache::TierPipeline *>(&manager);
-    lane.account = std::make_unique<cost::OverheadAccount>(model);
-    manager.setListener(lane.account.get());
     lane.result.benchmark = log_.benchmark();
     lane.result.manager = manager.name();
     lanes_.push_back(std::move(lane));
@@ -32,112 +29,22 @@ BatchedReplay::addLane(cache::CacheManager &manager,
 std::vector<SimResult>
 BatchedReplay::run()
 {
-    for (Lane &lane : lanes_) {
-        lane.manager->prepareDenseIds(log_.traceCount());
-    }
-
-    if (kernel_ == ReplayKernel::Reference) {
-        runReference();
-    } else {
-        runBlocked();
-    }
-
-    std::vector<SimResult> results;
-    results.reserve(lanes_.size());
-    for (Lane &lane : lanes_) {
-        if (checkpointHook_) {
-            checkpointHook_(*lane.manager, log_.duration());
-        }
-        lane.result.managerStats = lane.manager->stats();
-        lane.result.overhead = lane.tableAccount != nullptr
-                                   ? lane.tableAccount->breakdown()
-                                   : lane.account->breakdown();
-        results.push_back(lane.result);
-    }
-    return results;
-}
-
-void
-BatchedReplay::runReference()
-{
-    std::vector<std::uint8_t> pinnedWanted(log_.traceCount(), 0);
-
-    const std::vector<tracelog::EventType> &types = log_.types();
-    const std::vector<TimeUs> &times = log_.times();
-    const std::vector<tracelog::DenseTraceId> &traces = log_.traces();
-    const std::vector<std::uint32_t> &sizes = log_.sizes();
-    const std::vector<cache::ModuleId> &modules = log_.modules();
-
-    auto note_peak = [](Lane &lane) {
-        std::uint64_t used = lane.manager->usedBytes();
-        if (used > lane.result.peakBytes) {
-            lane.result.peakBytes = used;
-        }
-    };
-
-    const std::size_t count = log_.size();
-    for (std::size_t i = 0; i < count; ++i) {
-        const TimeUs now = times[i];
-        const tracelog::DenseTraceId dense = traces[i];
-        switch (types[i]) {
-          case tracelog::EventType::TraceCreate:
-            pinnedWanted[dense] = 0;
-            for (Lane &lane : lanes_) {
-                ++lane.result.createdTraces;
-                lane.result.createdBytes += sizes[i];
-                lane.manager->insert(dense, sizes[i], modules[i], now);
-                note_peak(lane);
+    begin();
+    const std::vector<tracelog::CompiledLog::Chunk> &chunks =
+        log_.chunks();
+    const std::size_t laneCount = lanes_.size();
+    for (std::size_t blockFirst = 0; blockFirst < laneCount;
+         blockFirst += kLaneBlock) {
+        const std::size_t blockEnd =
+            std::min(laneCount, blockFirst + kLaneBlock);
+        for (const tracelog::CompiledLog::Chunk &chunk : chunks) {
+            for (std::size_t l = blockFirst; l < blockEnd; ++l) {
+                replayChunk(lanes_[l], chunk);
             }
-            break;
-          case tracelog::EventType::TraceExec:
-            for (Lane &lane : lanes_) {
-                ++lane.result.lookups;
-                if (lane.manager->lookup(dense, now)) {
-                    ++lane.result.hits;
-                } else {
-                    ++lane.result.misses;
-                    if (lane.manager->insert(dense,
-                                             log_.traceSize(dense),
-                                             log_.traceModule(dense),
-                                             now)) {
-                        ++lane.result.regenerations;
-                        if (pinnedWanted[dense] != 0) {
-                            lane.manager->setPinned(dense, true);
-                        }
-                    }
-                    note_peak(lane);
-                }
-            }
-            break;
-          case tracelog::EventType::ModuleLoad:
-            if (checkpointHook_) {
-                for (Lane &lane : lanes_) {
-                    checkpointHook_(*lane.manager, now);
-                }
-            }
-            break;
-          case tracelog::EventType::ModuleUnload:
-            for (Lane &lane : lanes_) {
-                lane.manager->invalidateModule(modules[i], now);
-                if (checkpointHook_) {
-                    checkpointHook_(*lane.manager, now);
-                }
-            }
-            break;
-          case tracelog::EventType::Pin:
-            pinnedWanted[dense] = 1;
-            for (Lane &lane : lanes_) {
-                lane.manager->setPinned(dense, true);
-            }
-            break;
-          case tracelog::EventType::Unpin:
-            pinnedWanted[dense] = 0;
-            for (Lane &lane : lanes_) {
-                lane.manager->setPinned(dense, false);
-            }
-            break;
         }
     }
+    chunkCursor_ = chunks.size();
+    return finish();
 }
 
 template <typename ManagerT>
@@ -349,26 +256,6 @@ BatchedReplay::runChunkFast(Lane &lane,
 }
 
 void
-BatchedReplay::prepareBlockedLanes()
-{
-    // Table-driven cost accounting replaces the live formulas.
-    const CostTables *tables = sharedTables_;
-    if (tables == nullptr) {
-        ownedTables_.emplace(
-            CostTables::build(log_, cost::CostModel{}));
-        tables = &*ownedTables_;
-    }
-    for (Lane &lane : lanes_) {
-        lane.tableAccount =
-            std::make_unique<TableOverheadListener>(*tables);
-        lane.manager->setListener(lane.tableAccount.get());
-        lane.fast =
-            lane.pipeline != nullptr &&
-            lane.pipeline->enableFastReplay(log_.traceCount());
-    }
-}
-
-void
 BatchedReplay::replayChunk(Lane &lane,
                            const tracelog::CompiledLog::Chunk &chunk)
 {
@@ -382,49 +269,26 @@ BatchedReplay::replayChunk(Lane &lane,
 }
 
 void
-BatchedReplay::runBlocked()
-{
-    prepareBlockedLanes();
-
-    const std::vector<tracelog::CompiledLog::Chunk> &chunks =
-        log_.chunks();
-    const std::size_t laneCount = lanes_.size();
-    for (std::size_t blockFirst = 0; blockFirst < laneCount;
-         blockFirst += kLaneBlock) {
-        const std::size_t blockEnd =
-            std::min(laneCount, blockFirst + kLaneBlock);
-        for (const tracelog::CompiledLog::Chunk &chunk : chunks) {
-            for (std::size_t l = blockFirst; l < blockEnd; ++l) {
-                replayChunk(lanes_[l], chunk);
-            }
-        }
-    }
-
-    // End states are inspected by callers (stats snapshots, gencheck
-    // passes, identity tests): fold every pending counter back into
-    // its fragment.
-    for (Lane &lane : lanes_) {
-        if (lane.fast) {
-            lane.pipeline->flushFastCounts();
-        }
-    }
-}
-
-void
 BatchedReplay::begin()
 {
     if (begun_) {
         GENCACHE_PANIC("begin() called twice on one replay");
     }
-    if (kernel_ != ReplayKernel::Blocked) {
-        GENCACHE_PANIC("incremental stepping requires the blocked "
-                       "kernel");
-    }
     begun_ = true;
+    const CostTables *tables = sharedTables_;
+    if (tables == nullptr) {
+        ownedTables_.emplace(
+            CostTables::build(log_, cost::CostModel{}));
+        tables = &*ownedTables_;
+    }
     for (Lane &lane : lanes_) {
         lane.manager->prepareDenseIds(log_.traceCount());
+        lane.account = std::make_unique<TableOverheadListener>(*tables);
+        lane.manager->setListener(lane.account.get());
+        lane.fast =
+            lane.pipeline != nullptr &&
+            lane.pipeline->enableFastReplay(log_.traceCount());
     }
-    prepareBlockedLanes();
 }
 
 bool
@@ -455,8 +319,9 @@ BatchedReplay::finish()
     if (!begun_) {
         GENCACHE_PANIC("finish() before begin()");
     }
-    // Drain whatever the stepper left unplayed, then close out
-    // exactly like run().
+    // Drain whatever the stepper left unplayed. End states are
+    // inspected by callers (stats snapshots, gencheck passes, identity
+    // tests): fold every pending counter back into its fragment.
     while (step(log_.chunks().size())) {
     }
     for (Lane &lane : lanes_) {
@@ -471,9 +336,7 @@ BatchedReplay::finish()
             checkpointHook_(*lane.manager, log_.duration());
         }
         lane.result.managerStats = lane.manager->stats();
-        lane.result.overhead = lane.tableAccount != nullptr
-                                   ? lane.tableAccount->breakdown()
-                                   : lane.account->breakdown();
+        lane.result.overhead = lane.account->breakdown();
         results.push_back(lane.result);
     }
     return results;

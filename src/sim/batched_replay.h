@@ -9,38 +9,32 @@
  * once and advances every registered lane, paying the decode and
  * dispatch cost once: O(events + K * manager work).
  *
- * Two kernels share the lane bookkeeping:
+ * The loop nest is chunk x lane block x event: the kernel iterates
+ * the CompiledLog's cache-sized chunks, sweeping a block of
+ * kLaneBlock lanes per chunk so the event columns stay hot in cache
+ * across lanes. Per-event branches are hoisted: pure-exec chunks (the
+ * vast majority) run a switch-free inner loop with the lookup counters
+ * tallied per chunk, pin intent comes from the precomputed
+ * execPinned() column instead of shared mutable state, and Table 2
+ * costs come from precomputed per-trace CostTables instead of
+ * per-event pow()/llround() evaluations. Lanes whose manager is a
+ * cache::TierPipeline (all catalog topologies and both legacy
+ * adapters) run through a statically typed fast path whose hot calls
+ * devirtualize against the pipeline's final methods; any other
+ * manager runs the same chunk loop over the virtual interface.
  *
- *  - ReplayKernel::Reference is the original per-event outer loop
- *    (event decoded once, inner loop over lanes), with live
- *    OverheadAccount cost pricing. It is the baseline the blocked
- *    kernel is benchmarked against and validated to match.
- *  - ReplayKernel::Blocked (the default) iterates the CompiledLog's
- *    cache-sized chunks, sweeping a block of kLaneBlock lanes per
- *    chunk so the event columns stay hot in cache across lanes.
- *    Per-event branches are hoisted: pure-exec chunks (the vast
- *    majority) run a switch-free inner loop with the lookup counters
- *    tallied per chunk, pin intent comes from the precomputed
- *    execPinned() column instead of shared mutable state, and Table 2
- *    costs come from precomputed per-trace CostTables instead of
- *    per-event pow()/llround() evaluations. Lanes whose manager is a
- *    cache::TierPipeline (all catalog topologies and both legacy
- *    adapters) run through a statically typed fast path whose hot
- *    calls devirtualize against the pipeline's final methods.
- *
- * Results are bit-identical between the kernels and to running
- * CacheSimulator::run per lane: per-lane event order is preserved
+ * Results are bit-identical to running the per-event
+ * CacheSimulator::run(AccessLog) once per lane (pinned by
+ * tests/test_replay_identity.cc): per-lane event order is preserved
  * (lanes are independent, so reordering chunk x lane changes nothing a
  * lane can observe), the cost tables hold the exact values the live
- * formulas produce, and execPinned() is the pin state the shared
- * pinnedWanted vector would have held at each event. The only visible
- * difference is checkpoint-hook interleaving across lanes: the blocked
- * kernel finishes one lane block's hooks before the next block starts,
- * while the reference kernel interleaves all lanes per event. Per-lane
- * hook order — all any hook inspects — is identical.
+ * formulas produce, and execPinned() is the pin state the simulator's
+ * per-trace registry holds at each event. Checkpoint hooks fire per
+ * lane at the same module events; a lane block finishes its hooks
+ * before the next block starts.
  *
- * Each lane owns its manager, its cost accounting (installed as the
- * manager's listener), and its SimResult.
+ * Each lane owns its manager, its table-priced cost accounting
+ * (installed as the manager's listener), and its SimResult.
  */
 
 #ifndef GENCACHE_SIM_BATCHED_REPLAY_H
@@ -61,12 +55,6 @@ class TierPipeline;
 
 namespace gencache::sim {
 
-/** Which replay inner loop run() executes. */
-enum class ReplayKernel : std::uint8_t {
-    Reference, ///< per-event outer loop, live cost formulas
-    Blocked,   ///< chunk x lane-block loop, precomputed cost tables
-};
-
 /** Replays one compiled log against K cache managers in one pass. */
 class BatchedReplay
 {
@@ -83,13 +71,12 @@ class BatchedReplay
 
     /**
      * Register @p manager as a replay lane and return its lane index.
-     * The replay installs per-lane cost accounting (built from
-     * @p model) as the manager's event listener. Managers must be
-     * freshly constructed: run() switches their residency indexes to
-     * dense storage via prepareDenseIds().
+     * When the replay begins it installs the lane's table-priced cost
+     * accounting as the manager's event listener. Managers must be
+     * freshly constructed: the replay switches their residency
+     * indexes to dense storage via prepareDenseIds().
      */
-    std::size_t addLane(cache::CacheManager &manager,
-                        cost::CostModel model = cost::CostModel{});
+    std::size_t addLane(cache::CacheManager &manager);
 
     /**
      * Install @p hook to run per lane at replay phase boundaries
@@ -102,15 +89,12 @@ class BatchedReplay
         checkpointHook_ = std::move(hook);
     }
 
-    /** Select the replay kernel (default: Blocked). */
-    void setKernel(ReplayKernel kernel) { kernel_ = kernel; }
-
     /**
-     * Share precomputed cost tables (blocked kernel only). They must
-     * have been built from this replay's log with each lane's cost
-     * model — CostModel is stateless, so one table set serves all.
-     * Without this, run() builds a private set; sharing matters when
-     * many replays stream the same profile (sweeps, the tournament).
+     * Share precomputed cost tables. They must have been built from
+     * this replay's log with the default cost::CostModel (which is
+     * stateless, so one table set serves every lane). Without this,
+     * the replay builds a private set; sharing matters when many
+     * replays stream the same profile (sweeps, the tournament).
      */
     void setCostTables(const CostTables *tables)
     {
@@ -119,7 +103,8 @@ class BatchedReplay
 
     /**
      * Stream the log once, advancing all lanes. Returns one SimResult
-     * per lane, in addLane() order. Call at most once.
+     * per lane, in addLane() order. Call at most once, and not
+     * together with begin()/step()/finish().
      */
     std::vector<SimResult> run();
 
@@ -129,11 +114,10 @@ class BatchedReplay
     // logs, so no single run() can drive them: each replay instead
     // exposes its chunk loop as begin() / step() / finish(). Stepping
     // in whole chunks keeps results bit-identical to run() — chunk
-    // order per lane is the only order the kernels guarantee anyway.
-    // Blocked kernel only.
+    // order per lane is the only order the kernel guarantees anyway.
 
-    /** Prepare all lanes (dense ids, cost tables, fast flags).
-     *  Call once, before the first step(). */
+    /** Prepare all lanes (dense ids, cost tables, listeners, fast
+     *  flags). Call once, before the first step(). */
     void begin();
 
     /** Advance every lane by up to @p chunk_budget chunks. @return
@@ -153,17 +137,9 @@ class BatchedReplay
         cache::CacheManager *manager = nullptr;
         cache::TierPipeline *pipeline = nullptr; ///< fast-path alias
         bool fast = false; ///< pipeline accepted enableFastReplay()
-        std::unique_ptr<cost::OverheadAccount> account;
-        std::unique_ptr<TableOverheadListener> tableAccount;
+        std::unique_ptr<TableOverheadListener> account;
         SimResult result;
     };
-
-    void runReference();
-    void runBlocked();
-
-    /** Shared prep of runBlocked()/begin(): cost tables, listeners,
-     *  fast-path eligibility. */
-    void prepareBlockedLanes();
 
     /** Replay @p chunk on @p lane through its fastest legal path. */
     void replayChunk(Lane &lane,
@@ -173,15 +149,14 @@ class BatchedReplay
     void runChunk(Lane &lane, ManagerT &manager,
                   const tracelog::CompiledLog::Chunk &chunk);
 
-    /** Blocked-kernel chunk replay through the pipeline's dense
-     *  hit-slot sidecar (single cache line per hit, no virtual
-     *  dispatch); mixed and barrier chunks delegate to runChunk. */
+    /** Chunk replay through the pipeline's dense hit-slot sidecar
+     *  (single cache line per hit, no virtual dispatch); mixed and
+     *  barrier chunks delegate to runChunk. */
     void runChunkFast(Lane &lane, cache::TierPipeline &pipeline,
                       const tracelog::CompiledLog::Chunk &chunk);
 
     const tracelog::CompiledLog &log_;
     std::vector<Lane> lanes_;
-    ReplayKernel kernel_ = ReplayKernel::Blocked;
     bool begun_ = false;
     std::size_t chunkCursor_ = 0;
     const CostTables *sharedTables_ = nullptr;

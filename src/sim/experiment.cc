@@ -164,14 +164,12 @@ ExperimentRunner::runGenerational(std::uint64_t total_bytes,
 std::vector<SimResult>
 ExperimentRunner::runGenerationalBatch(
     std::uint64_t total_bytes,
-    const std::vector<GenerationalLayout> &layouts,
-    ReplayKernel kernel) const
+    const std::vector<GenerationalLayout> &layouts) const
 {
     std::vector<std::unique_ptr<cache::GenerationalCacheManager>>
         managers;
     managers.reserve(layouts.size());
     BatchedReplay replay(compiled());
-    replay.setKernel(kernel);
     replay.setCostTables(&costTables());
     for (const GenerationalLayout &layout : layouts) {
         managers.push_back(
@@ -201,13 +199,11 @@ ExperimentRunner::runTopology(std::uint64_t total_bytes,
 std::vector<SimResult>
 ExperimentRunner::runTopologyBatch(
     std::uint64_t total_bytes,
-    const std::vector<cache::TierTopology> &topologies,
-    ReplayKernel kernel) const
+    const std::vector<cache::TierTopology> &topologies) const
 {
     std::vector<std::unique_ptr<cache::TierPipeline>> managers;
     managers.reserve(topologies.size());
     BatchedReplay replay(compiled());
-    replay.setKernel(kernel);
     replay.setCostTables(&costTables());
     for (const cache::TierTopology &topology : topologies) {
         managers.push_back(topology.build(total_bytes));

@@ -22,8 +22,9 @@
  * ThreadPool (see sim::runSweep). The unbounded pre-pass and the
  * unified baselines are memoized (keyed by capacity) so repeated
  * methodology steps never replay them twice. runGenerational() and
- * runTopology() keep the legacy per-event CacheSimulator loop as the
- * reference the identity tests compare against.
+ * runTopology() replay log() through the per-event CacheSimulator;
+ * only the identity tests call them, as the reference the batched
+ * results are held to.
  */
 
 #ifndef GENCACHE_SIM_EXPERIMENT_H
@@ -130,34 +131,35 @@ class ExperimentRunner
      *  costTables(). Memoized per capacity. */
     SimResult runUnified(std::uint64_t capacity_bytes) const;
 
-    /** Replay against a generational hierarchy splitting
-     *  @p total_bytes per @p layout (legacy per-event path). */
+    /** Reference: replay log() through the per-event CacheSimulator
+     *  against a generational hierarchy splitting @p total_bytes per
+     *  @p layout. Only the identity tests call it; everything else
+     *  uses runGenerationalBatch(). */
     SimResult runGenerational(std::uint64_t total_bytes,
                               const GenerationalLayout &layout) const;
 
-    /** Fast path: replay every layout in @p layouts (all splitting
-     *  @p total_bytes) in ONE streaming pass over the compiled log
-     *  (sim::BatchedReplay, @p kernel selects the inner loop).
-     *  Returns one SimResult per layout, in order, bit-identical to
-     *  runGenerational on each. */
+    /** Replay every layout in @p layouts (all splitting
+     *  @p total_bytes) in ONE blocked pass over the compiled log
+     *  (sim::BatchedReplay). Returns one SimResult per layout, in
+     *  order, bit-identical to runGenerational on each. */
     std::vector<SimResult> runGenerationalBatch(
         std::uint64_t total_bytes,
-        const std::vector<GenerationalLayout> &layouts,
-        ReplayKernel kernel = ReplayKernel::Blocked) const;
+        const std::vector<GenerationalLayout> &layouts) const;
 
-    /** Replay against an arbitrary tier topology splitting
-     *  @p total_bytes (legacy per-event path). The result's manager
-     *  label is the topology name. */
+    /** Reference: replay log() through the per-event CacheSimulator
+     *  against an arbitrary tier topology splitting @p total_bytes.
+     *  The result's manager label is the topology name. Only the
+     *  identity tests call it; everything else uses
+     *  runTopologyBatch(). */
     SimResult runTopology(std::uint64_t total_bytes,
                           const cache::TierTopology &topology) const;
 
-    /** Fast path: replay every topology in @p topologies (all over a
-     *  @p total_bytes budget) in ONE streaming pass over the compiled
+    /** Replay every topology in @p topologies (all over a
+     *  @p total_bytes budget) in ONE blocked pass over the compiled
      *  log. Bit-identical to runTopology on each. */
     std::vector<SimResult> runTopologyBatch(
         std::uint64_t total_bytes,
-        const std::vector<cache::TierTopology> &topologies,
-        ReplayKernel kernel = ReplayKernel::Blocked) const;
+        const std::vector<cache::TierTopology> &topologies) const;
 
     /** The whole §6 pipeline with the given layouts: the memoized
      *  baselines, then every layout as one lane of a single

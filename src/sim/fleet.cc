@@ -46,7 +46,7 @@ FleetSimulator::FleetSimulator(
             }
         }
         process.replay = std::make_unique<BatchedReplay>(logs[p]);
-        process.replay->addLane(*process.pipeline, options_.model);
+        process.replay->addLane(*process.pipeline);
         processes_.push_back(std::move(process));
     }
 }

@@ -51,7 +51,6 @@ struct FleetOptions
     bool sharing = true;                ///< mount the shared store
     cache::SharedStoreConfig store;     ///< shared-store sizing
     unsigned chunksPerTurn = 4;         ///< round-robin quantum
-    cost::CostModel model;              ///< per-process cost model
 };
 
 /** One process's outcome. */

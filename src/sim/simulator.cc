@@ -4,9 +4,8 @@
 
 namespace gencache::sim {
 
-CacheSimulator::CacheSimulator(cache::CacheManager &manager,
-                               cost::CostModel model)
-    : manager_(manager), account_(model)
+CacheSimulator::CacheSimulator(cache::CacheManager &manager)
+    : manager_(manager)
 {
     manager_.setListener(&account_);
 }
@@ -96,87 +95,6 @@ CacheSimulator::run(const tracelog::AccessLog &log)
             manager_.setPinned(event.trace, false);
             break;
           }
-        }
-    }
-
-    if (checkpointHook_) {
-        checkpointHook_(manager_, log.duration());
-    }
-    result.managerStats = manager_.stats();
-    result.overhead = account_.breakdown();
-    return result;
-}
-
-SimResult
-CacheSimulator::run(const tracelog::CompiledLog &log)
-{
-    SimResult result;
-    result.benchmark = log.benchmark();
-    result.manager = manager_.name();
-    manager_.prepareDenseIds(log.traceCount());
-
-    std::vector<std::uint8_t> pinnedWanted(log.traceCount(), 0);
-
-    const std::vector<tracelog::EventType> &types = log.types();
-    const std::vector<TimeUs> &times = log.times();
-    const std::vector<tracelog::DenseTraceId> &traces = log.traces();
-    const std::vector<std::uint32_t> &sizes = log.sizes();
-    const std::vector<cache::ModuleId> &modules = log.modules();
-
-    auto note_peak = [&]() {
-        std::uint64_t used = manager_.usedBytes();
-        if (used > result.peakBytes) {
-            result.peakBytes = used;
-        }
-    };
-
-    const std::size_t count = log.size();
-    for (std::size_t i = 0; i < count; ++i) {
-        const TimeUs now = times[i];
-        const tracelog::DenseTraceId dense = traces[i];
-        switch (types[i]) {
-          case tracelog::EventType::TraceCreate:
-            pinnedWanted[dense] = 0;
-            ++result.createdTraces;
-            result.createdBytes += sizes[i];
-            manager_.insert(dense, sizes[i], modules[i], now);
-            note_peak();
-            break;
-          case tracelog::EventType::TraceExec:
-            ++result.lookups;
-            if (manager_.lookup(dense, now)) {
-                ++result.hits;
-            } else {
-                ++result.misses;
-                if (manager_.insert(dense, log.traceSize(dense),
-                                    log.traceModule(dense), now)) {
-                    ++result.regenerations;
-                    if (pinnedWanted[dense] != 0) {
-                        manager_.setPinned(dense, true);
-                    }
-                }
-                note_peak();
-            }
-            break;
-          case tracelog::EventType::ModuleLoad:
-            if (checkpointHook_) {
-                checkpointHook_(manager_, now);
-            }
-            break;
-          case tracelog::EventType::ModuleUnload:
-            manager_.invalidateModule(modules[i], now);
-            if (checkpointHook_) {
-                checkpointHook_(manager_, now);
-            }
-            break;
-          case tracelog::EventType::Pin:
-            pinnedWanted[dense] = 1;
-            manager_.setPinned(dense, true);
-            break;
-          case tracelog::EventType::Unpin:
-            pinnedWanted[dense] = 0;
-            manager_.setPinned(dense, false);
-            break;
         }
     }
 

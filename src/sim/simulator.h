@@ -11,6 +11,15 @@
  * re-inserts, paying the Table 2 costs through the attached
  * OverheadAccount), module unloads force invalidations, and pin/unpin
  * events toggle undeletability.
+ *
+ * This per-event loop is one of the two replay paths in the tree;
+ * sim::BatchedReplay, the blocked kernel, runs every compiled-log
+ * replay. It stays as the single reference the identity tests hold
+ * the blocked kernel to (it replays the raw trace ids, so it also
+ * checks the CompiledLog's dense remap), as the replay behind
+ * analysis::runTemporalReplay and gencheck's sim/tier/journal
+ * subjects, which attach a probe listener the blocked kernel does not
+ * carry, and as logreplay_tool's one-shot replay of a loaded log.
  */
 
 #ifndef GENCACHE_SIM_SIMULATOR_H
@@ -23,7 +32,6 @@
 
 #include "codecache/cache_manager.h"
 #include "costmodel/cost_model.h"
-#include "tracelog/compiled_log.h"
 #include "tracelog/event.h"
 
 namespace gencache::sim {
@@ -59,25 +67,13 @@ class CacheSimulator
   public:
     /**
      * @param manager the global scheme under test; the simulator
-     *        installs itself as the manager's event listener.
-     * @param model cost model for overhead accounting.
+     *        installs its cost accountant as the manager's event
+     *        listener.
      */
-    explicit CacheSimulator(cache::CacheManager &manager,
-                            cost::CostModel model = cost::CostModel{});
+    explicit CacheSimulator(cache::CacheManager &manager);
 
     /** Replay @p log from the beginning and return the results. */
     SimResult run(const tracelog::AccessLog &log);
-
-    /**
-     * Fast path: replay a compiled log. Streams the columnar event
-     * arrays and keeps pin/regeneration state in flat vectors indexed
-     * by dense trace id — no hash lookups on the per-event path. The
-     * manager sees dense ids (its behavior depends only on id
-     * identity, so results are bit-identical to the legacy path).
-     * Requires a freshly constructed manager: its residency indexes
-     * are switched to dense storage via prepareDenseIds().
-     */
-    SimResult run(const tracelog::CompiledLog &log);
 
     /**
      * Install @p hook to run at replay phase boundaries: after every

@@ -68,17 +68,17 @@ SweepResult
 runSweep(const workload::BenchmarkProfile &profile,
          const std::vector<SweepPoint> &points,
          const std::vector<std::uint32_t> &thresholds,
-         std::size_t threads, ReplayEngine engine)
+         std::size_t threads)
 {
     ExperimentRunner runner(profile);
-    return runSweep(runner, points, thresholds, threads, engine);
+    return runSweep(runner, points, thresholds, threads);
 }
 
 SweepResult
 runSweep(const ExperimentRunner &runner,
          const std::vector<SweepPoint> &points,
          const std::vector<std::uint32_t> &thresholds,
-         std::size_t threads, ReplayEngine engine)
+         std::size_t threads)
 {
     if (points.empty() || thresholds.empty()) {
         fatal("sweep needs at least one point and one threshold");
@@ -126,81 +126,46 @@ runSweep(const ExperimentRunner &runner,
         threads = ThreadPool::defaultThreadCount();
     }
 
-    if (engine != ReplayEngine::Legacy) {
-        // One streaming pass per sweep point: the point's whole
-        // threshold column advances lane-by-lane through a single
-        // decode of the compiled log.
-        const ReplayKernel kernel =
-            engine == ReplayEngine::BatchedReference
-                ? ReplayKernel::Reference
-                : ReplayKernel::Blocked;
-        const std::size_t row = thresholds.size();
-        auto run_row = [&](std::size_t point_index) {
-            std::vector<GenerationalLayout> row_layouts(
-                layouts.begin() +
-                    static_cast<std::ptrdiff_t>(point_index * row),
-                layouts.begin() +
-                    static_cast<std::ptrdiff_t>((point_index + 1) *
-                                                row));
-            std::vector<SimResult> sims = runner.runGenerationalBatch(
-                result.capacityBytes, row_layouts, kernel);
-            std::vector<SweepCell> cells;
-            cells.reserve(row);
-            for (std::size_t i = 0; i < sims.size(); ++i) {
-                cells.push_back(
-                    to_cell(point_index * row + i, sims[i]));
-            }
-            return cells;
-        };
+    // One streaming pass per sweep point: the point's whole threshold
+    // column advances lane-by-lane through a single decode of the
+    // compiled log.
+    const std::size_t row = thresholds.size();
+    auto run_row = [&](std::size_t point_index) {
+        std::vector<GenerationalLayout> row_layouts(
+            layouts.begin() +
+                static_cast<std::ptrdiff_t>(point_index * row),
+            layouts.begin() +
+                static_cast<std::ptrdiff_t>((point_index + 1) * row));
+        std::vector<SimResult> sims = runner.runGenerationalBatch(
+            result.capacityBytes, row_layouts);
+        std::vector<SweepCell> cells;
+        cells.reserve(row);
+        for (std::size_t i = 0; i < sims.size(); ++i) {
+            cells.push_back(to_cell(point_index * row + i, sims[i]));
+        }
+        return cells;
+    };
 
-        result.cells.reserve(layouts.size());
-        if (threads <= 1 || points.size() <= 1) {
-            for (std::size_t pi = 0; pi < points.size(); ++pi) {
-                std::vector<SweepCell> cells = run_row(pi);
-                result.cells.insert(result.cells.end(), cells.begin(),
-                                    cells.end());
-            }
-            return result;
-        }
-        ThreadPool pool(std::min<std::size_t>(threads, points.size()));
-        std::vector<std::future<std::vector<SweepCell>>> futures;
-        futures.reserve(points.size());
+    result.cells.reserve(layouts.size());
+    if (threads <= 1 || points.size() <= 1) {
         for (std::size_t pi = 0; pi < points.size(); ++pi) {
-            futures.push_back(
-                pool.submit([&run_row, pi]() { return run_row(pi); }));
-        }
-        for (std::future<std::vector<SweepCell>> &future : futures) {
-            std::vector<SweepCell> cells = future.get();
+            std::vector<SweepCell> cells = run_row(pi);
             result.cells.insert(result.cells.end(), cells.begin(),
                                 cells.end());
         }
         return result;
     }
-
-    auto run_cell = [&](std::size_t index) {
-        return to_cell(index, runner.runGenerational(
-                                  result.capacityBytes,
-                                  layouts[index]));
-    };
-
-    if (threads <= 1 || layouts.size() <= 1) {
-        result.cells.reserve(layouts.size());
-        for (std::size_t i = 0; i < layouts.size(); ++i) {
-            result.cells.push_back(run_cell(i));
-        }
-        return result;
-    }
-
-    ThreadPool pool(std::min<std::size_t>(threads, layouts.size()));
-    std::vector<std::future<SweepCell>> futures;
-    futures.reserve(layouts.size());
-    for (std::size_t i = 0; i < layouts.size(); ++i) {
+    ThreadPool pool(std::min<std::size_t>(threads, points.size()));
+    std::vector<std::future<std::vector<SweepCell>>> futures;
+    futures.reserve(points.size());
+    for (std::size_t pi = 0; pi < points.size(); ++pi) {
         futures.push_back(
-            pool.submit([&run_cell, i]() { return run_cell(i); }));
+            pool.submit([&run_row, pi]() { return run_row(pi); }));
     }
-    result.cells.reserve(layouts.size());
-    for (std::future<SweepCell> &future : futures) {
-        result.cells.push_back(future.get());
+    for (std::future<std::vector<SweepCell>> &future : futures) {
+        std::vector<SweepCell> cells = future.get();
+        result.cells.insert(result.cells.end(), cells.begin(),
+                            cells.end());
     }
     return result;
 }

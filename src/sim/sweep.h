@@ -6,10 +6,11 @@
  *  the cache proportions that result in the lowest miss rates for
  *  each application."
  *
- * SweepRunner replays one benchmark against a grid of
+ * runSweep() replays one benchmark against a grid of
  * (proportion, threshold) points, all at the same total budget, and
  * reports miss-rate reductions relative to the unified baseline plus
- * the best point found.
+ * the best point found. Each sweep point's threshold column is one
+ * blocked BatchedReplay pass over the runner's compiled log.
  */
 
 #ifndef GENCACHE_SIM_SWEEP_H
@@ -64,47 +65,29 @@ struct SweepResult
 std::vector<SweepPoint> defaultSweepPoints();
 std::vector<std::uint32_t> defaultSweepThresholds();
 
-/** Which replay implementation drives the generational grid cells. */
-enum class ReplayEngine {
-    /** One CacheSimulator pass over the AccessLog per cell. */
-    Legacy,
-    /** One BatchedReplay pass over the CompiledLog per sweep point,
-     *  advancing the whole threshold column at once with the blocked
-     *  (chunk x lane-block) kernel. Cell results are bit-identical to
-     *  Legacy. */
-    BatchedCompiled,
-    /** The batched engine pinned to its per-event reference kernel
-     *  (the PR-3 loop) — the baseline the blocked kernel is
-     *  benchmarked against. Bit-identical results. */
-    BatchedReference,
-};
-
 /**
  * Run the sweep for @p profile: unbounded pre-pass, unified baseline
  * at half the peak, then every (point, threshold) cell.
  *
- * Grid cells are independent — each owns a private cache hierarchy
- * and replays the runner's shared immutable log — so they fan out
- * across a ThreadPool. @p threads selects the worker count: 0 obeys
- * the environment (GENCACHE_THREADS, else hardware concurrency), 1
- * forces the fully serial path, N uses N workers. With the batched
- * engine the fan-out unit is one sweep point (a threshold column);
- * with the legacy engine it is one cell. Cell results are identical
- * regardless of thread count and engine.
+ * Sweep points are independent — each threshold column owns private
+ * cache hierarchies and replays the runner's shared immutable log — so
+ * they fan out across a ThreadPool, one point per task. @p threads
+ * selects the worker count: 0 obeys the environment
+ * (GENCACHE_THREADS, else hardware concurrency), 1 forces the fully
+ * serial path, N uses N workers. Cell results are identical regardless
+ * of thread count.
  */
 SweepResult runSweep(const workload::BenchmarkProfile &profile,
                      const std::vector<SweepPoint> &points,
                      const std::vector<std::uint32_t> &thresholds,
-                     std::size_t threads = 0,
-                     ReplayEngine engine = ReplayEngine::BatchedCompiled);
+                     std::size_t threads = 0);
 
 /** As above, but over a caller-owned @p runner whose workload is
  *  already generated (benchmarks use this to time pure replay). */
 SweepResult runSweep(const ExperimentRunner &runner,
                      const std::vector<SweepPoint> &points,
                      const std::vector<std::uint32_t> &thresholds,
-                     std::size_t threads = 0,
-                     ReplayEngine engine = ReplayEngine::BatchedCompiled);
+                     std::size_t threads = 0);
 
 /** Result of one topology of a topology sweep. */
 struct TopologyCell

@@ -82,8 +82,8 @@ class CompiledLog
     };
 
     /**
-     * Compile @p log. Panics (like the legacy replay loop) when a
-     * trace is created twice or executed before creation.
+     * Compile @p log. Panics (like the per-event CacheSimulator loop)
+     * when a trace is created twice or executed before creation.
      */
     static CompiledLog compile(const AccessLog &log);
 
@@ -118,8 +118,9 @@ class CompiledLog
      * Pin intent per event: whether the event's trace is inside a
      * pin/unpin window at this log position (1) or not (0). Replay
      * consults this on miss regeneration; precomputing it here removes
-     * the only cross-lane mutable state from the replay kernels, since
-     * pin intent depends on log position alone, never on cache state.
+     * the only cross-lane mutable state from the blocked replay kernel,
+     * since pin intent depends on log position alone, never on cache
+     * state.
      */
     const std::vector<std::uint8_t> &execPinned() const
     {

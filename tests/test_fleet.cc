@@ -142,7 +142,7 @@ TEST(FleetSharingOff, BitIdenticalToIndependentReplays)
             std::unique_ptr<cache::TierPipeline> solo =
                 topology->build(options.budgetBytes);
             sim::BatchedReplay replay(compiled[p]);
-            replay.addLane(*solo, options.model);
+            replay.addLane(*solo);
             std::vector<sim::SimResult> solo_results = replay.run();
             ASSERT_EQ(solo_results.size(), 1u);
 

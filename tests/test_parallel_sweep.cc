@@ -1,9 +1,10 @@
 /**
  * @file
  * Determinism tests for the parallel experiment engine: fanning the
- * sweep grid or the per-layout comparison runs across a ThreadPool
- * must be invisible in the results — every miss rate and promotion
- * count identical to the serial replay, cell for cell.
+ * sweep grid or the topology sweep across a ThreadPool, or handing
+ * compare() a pool, must be invisible in the results — every miss
+ * rate and promotion count identical to the serial replay, cell for
+ * cell.
  *
  * These tests carry the "tsan" ctest label; a thread-sanitized build
  * (-DGENCACHE_SANITIZE=thread) runs them with `ctest -L tsan`.
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "codecache/tier_pipeline.h"
 #include "sim/experiment.h"
 #include "sim/sweep.h"
 #include "support/thread_pool.h"
@@ -77,6 +79,37 @@ TEST(ParallelSweep, OversubscribedWorkersMatchSerialExactly)
     SweepResult serial = runSweep(profile, points, thresholds, 1);
     SweepResult parallel = runSweep(profile, points, thresholds, 16);
     expectCellsEqual(serial, parallel);
+}
+
+TEST(ParallelSweep, TopologySweepThreadedMatchesSerial)
+{
+    // Serially the catalog shares one batched pass; threaded, every
+    // worker runs its own single-topology pass. The cells must agree.
+    workload::BenchmarkProfile profile =
+        tinyProfile("parallel-topology", 51);
+    const std::vector<cache::TierTopology> &catalog =
+        cache::namedTierTopologies();
+
+    TopologySweepResult serial = runTopologySweep(profile, catalog, 1);
+    TopologySweepResult parallel =
+        runTopologySweep(profile, catalog, 4);
+    EXPECT_EQ(serial.benchmark, parallel.benchmark);
+    EXPECT_EQ(serial.capacityBytes, parallel.capacityBytes);
+    EXPECT_EQ(serial.unifiedMissRate, parallel.unifiedMissRate);
+    ASSERT_EQ(serial.cells.size(), catalog.size());
+    ASSERT_EQ(parallel.cells.size(), catalog.size());
+    for (std::size_t i = 0; i < catalog.size(); ++i) {
+        const TopologyCell &a = serial.cells[i];
+        const TopologyCell &b = parallel.cells[i];
+        EXPECT_EQ(a.topology, catalog[i].name);
+        EXPECT_EQ(a.topology, b.topology);
+        EXPECT_EQ(a.tierCount, b.tierCount) << a.topology;
+        EXPECT_EQ(a.missRate, b.missRate) << a.topology;
+        EXPECT_EQ(a.missRateReductionPct, b.missRateReductionPct)
+            << a.topology;
+        EXPECT_EQ(a.promotions, b.promotions) << a.topology;
+        EXPECT_EQ(a.overheadInstrs, b.overheadInstrs) << a.topology;
+    }
 }
 
 TEST(ParallelSweep, CompareWithPoolMatchesSerial)

@@ -16,9 +16,9 @@
  *    (tracelog::CompiledLog) and streamed through the batched replay
  *    driver against one lane per standard sweep threshold; every
  *    lane's end state is checked like a sim subject. This keeps the
- *    fast replay path honest: the dense-id residency indices must
- *    leave the same self-consistent storage state the legacy loop
- *    does.
+ *    blocked replay kernel honest: the dense-id residency indices
+ *    must leave the same self-consistent storage state the per-event
+ *    sim loop does.
  *  - tier:<topology>:<profile> — the workload replayed against a
  *    named non-legacy tier topology (cache::namedTierTopologies: a
  *    2-tier filter, a 4-tier pipeline, a temperature-policy 3-tier),

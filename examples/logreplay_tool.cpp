@@ -157,7 +157,6 @@ int
 cmdReplay(const std::string &path, std::uint64_t capacity)
 {
     tracelog::AccessLog log = tracelog::loadLog(path);
-    log.validate();
     if (capacity == 0) {
         cache::UnifiedCacheManager unbounded(0);
         sim::CacheSimulator pre(unbounded);
@@ -183,7 +182,6 @@ int
 cmdInfo(const std::string &path)
 {
     tracelog::AccessLog log = tracelog::loadLog(path);
-    log.validate();
     tracelog::LifetimeAnalyzer analyzer(log);
     std::printf("benchmark:  %s\n", log.benchmark().c_str());
     std::printf("duration:   %.2f s\n", usToSeconds(log.duration()));

@@ -1,22 +1,22 @@
 /**
  * @file
- * Front-end fast-path pass family: the dense dispatch/chaining state
- * vs. the authoritative hash-map state it mirrors.
+ * Front-end pass family: the runtime's dense dispatch and chaining
+ * tables vs. the structures they are derived from.
  *
- * The predecoded front end replaces per-block hash lookups with dense
- * arrays: the AddressSpace block index (guest addr -> block id ->
- * predecoded stream), the runtime's flat dispatch table (block id ->
- * trace id), and the linker's per-trace cached successor slots
- * (direct chaining). Each mirror is redundant with a slower structure
- * that stays authoritative — module block maps, traceIdOfEntry_, the
- * link graph — so every inconsistency is a real bug (a stale patched
- * jump, a dispatch into a dead trace, a block id resolving to the
- * wrong code). This pass re-derives each mirror from its source:
+ * The front end runs on dense arrays: the AddressSpace block index
+ * (guest addr -> block id -> predecoded stream), the runtime's flat
+ * dispatch table (block id -> trace id), and the linker's per-trace
+ * cached successor slots (direct chaining). Each is redundant with a
+ * structure that stays authoritative — the module block maps, the
+ * runtime's live trace set (`Runtime::traces()`), the link graph — so
+ * every inconsistency is a real bug (a stale patched jump, a dispatch
+ * into a dead trace, a block id resolving to the wrong code). This
+ * pass re-derives each table from its source:
  *
  *  - every linked exit's cached successor slot matches what
  *    `TraceLinker::nodes()` implies (patched edge to the resident
  *    trace at that exit target, or no slot), and the cached target
- *    list mirrors the node's exit targets;
+ *    list matches the node's exit targets;
  *  - every dense block id round-trips through the AddressSpace index
  *    (module block -> id -> identical metadata), and the predecoded
  *    stream has the block's instruction count;
@@ -38,7 +38,7 @@ class TraceLinker;
 
 namespace gencache::analysis {
 
-/** Validates the front-end fast-path mirrors. Cheap: linear in
+/** Validates the front end's dense tables. Cheap: linear in
  *  resident traces, exits, and mapped blocks, so it runs at phase
  *  boundaries. */
 class FrontendPass : public Pass

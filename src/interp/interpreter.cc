@@ -11,17 +11,15 @@ using isa::wrapSub;
 namespace {
 
 /**
- * Execute one instruction against @p state. Shared by the legacy
- * (`isa::Instruction`) and predecoded (`guest::PredecodedInst`) loops
- * so the two front ends cannot drift semantically: @p InstT only needs
- * the common operand fields, while @p addr / @p fall_through are
- * supplied by the caller (computed on the fly legacy-side, precomputed
- * fast-side).
+ * Execute one predecoded instruction against @p state. Shared by the
+ * block and trace loops so the two cannot drift semantically; the
+ * instruction carries its own address and fall-through. Forced inline:
+ * it runs once per guest instruction, and GCC otherwise keeps it out
+ * of line, which costs the front end about a fifth of its speed.
  */
-template <typename InstT>
-inline void
-step(CpuState &state, const InstT &inst, isa::GuestAddr addr,
-     isa::GuestAddr fall_through, BlockResult &result)
+[[gnu::always_inline]] inline void
+step(CpuState &state, const guest::PredecodedInst &inst,
+     BlockResult &result)
 {
     switch (inst.opcode) {
       case isa::Opcode::Nop:
@@ -68,7 +66,7 @@ step(CpuState &state, const InstT &inst, isa::GuestAddr addr,
             result.next = inst.target;
             result.takenBranch = true;
         } else {
-            result.next = fall_through;
+            result.next = inst.fallThrough;
         }
         break;
       case isa::Opcode::BranchZ:
@@ -76,7 +74,7 @@ step(CpuState &state, const InstT &inst, isa::GuestAddr addr,
             result.next = inst.target;
             result.takenBranch = true;
         } else {
-            result.next = fall_through;
+            result.next = inst.fallThrough;
         }
         break;
       case isa::Opcode::JumpReg:
@@ -85,12 +83,12 @@ step(CpuState &state, const InstT &inst, isa::GuestAddr addr,
         result.takenBranch = true;
         break;
       case isa::Opcode::Call:
-        state.callStack.push_back(fall_through);
+        state.callStack.push_back(inst.fallThrough);
         result.next = inst.target;
         result.takenBranch = true;
         break;
       case isa::Opcode::CallReg:
-        state.callStack.push_back(fall_through);
+        state.callStack.push_back(inst.fallThrough);
         result.next = static_cast<isa::GuestAddr>(
             state.regs[inst.src1]);
         result.takenBranch = true;
@@ -98,7 +96,7 @@ step(CpuState &state, const InstT &inst, isa::GuestAddr addr,
       case isa::Opcode::Return:
         if (state.callStack.empty()) {
             GENCACHE_PANIC("return with empty call stack at {}",
-                           addr);
+                           inst.addr);
         }
         result.next = state.callStack.back();
         state.callStack.pop_back();
@@ -107,7 +105,7 @@ step(CpuState &state, const InstT &inst, isa::GuestAddr addr,
       case isa::Opcode::Halt:
         result.halted = true;
         state.halted = true;
-        result.next = addr;
+        result.next = inst.addr;
         break;
     }
 }
@@ -122,32 +120,12 @@ Interpreter::Interpreter(const guest::AddressSpace &space)
 BlockResult
 Interpreter::executeBlock(CpuState &state)
 {
-    if (state.halted) {
-        GENCACHE_PANIC("executeBlock on a halted guest");
-    }
-    const isa::BasicBlock *block = space_.blockAt(state.pc);
-    if (block == nullptr) {
+    guest::BlockId block = space_.blockIdAt(state.pc);
+    if (block == guest::kInvalidBlockId) {
         GENCACHE_PANIC("no mapped block at guest pc {} ({})", state.pc,
                        space_.describeAddr(state.pc));
     }
-
-    BlockResult result;
-    isa::GuestAddr addr = state.pc;
-
-    for (const isa::Instruction &inst : block->instructions()) {
-        ++result.instructions;
-        isa::GuestAddr fall_through = addr + inst.sizeBytes();
-        step(state, inst, addr, fall_through, result);
-        addr = fall_through;
-    }
-
-    // A taken transfer to the block's own start (a self-loop) is a
-    // backward edge too, hence <= rather than <.
-    result.backwardTransfer = !result.halted && result.takenBranch &&
-                              result.next <= block->startAddr();
-    state.pc = result.next;
-    retired_ += result.instructions;
-    return result;
+    return executeBlock(state, block);
 }
 
 BlockResult
@@ -164,9 +142,11 @@ Interpreter::executeBlock(CpuState &state, guest::BlockId block)
     for (const guest::PredecodedInst *inst = index.instBegin(block);
          inst != end; ++inst) {
         ++result.instructions;
-        step(state, *inst, inst->addr, inst->fallThrough, result);
+        step(state, *inst, result);
     }
 
+    // A taken transfer to the block's own start (a self-loop) is a
+    // backward edge too, hence <= rather than <.
     result.backwardTransfer = !result.halted && result.takenBranch &&
                               result.next <= meta.startAddr;
     state.pc = result.next;
@@ -195,7 +175,7 @@ Interpreter::executeTrace(CpuState &state,
         BlockResult result;
         for (; inst != end; ++inst) {
             ++result.instructions;
-            step(state, *inst, inst->addr, inst->fallThrough, result);
+            step(state, *inst, result);
         }
         out.instructions += result.instructions;
         state.pc = result.next;

@@ -7,6 +7,10 @@
  * resolve the terminator, and report the next program counter. The
  * runtime uses this both to "interpret" cold code and to discover the
  * dynamic control flow that drives trace selection.
+ *
+ * Every loop runs the AddressSpace's predecoded instruction streams
+ * (guest::PredecodedInst: operands plus precomputed address and
+ * fall-through), through one shared per-instruction step.
  */
 
 #ifndef GENCACHE_INTERP_INTERPRETER_H
@@ -54,17 +58,14 @@ class Interpreter
     BlockResult executeBlock(CpuState &state);
 
     /**
-     * Fast path: execute the predecoded block @p block (which must be
-     * the dense id of the block at @p state.pc) and advance the state.
-     * Bit-identical semantics and accounting to executeBlock(state) —
-     * it merely reads the contiguous predecoded stream instead of
-     * resolving the pc through the module maps and re-walking
-     * `isa::Instruction` objects.
+     * Execute block @p block, which must be the dense id of the block
+     * at @p state.pc, and advance the state: executeBlock(state)
+     * without the pc lookup.
      */
     BlockResult executeBlock(CpuState &state, guest::BlockId block);
 
     /**
-     * Fast path: execute a trace's flattened predecoded stream —
+     * Execute a trace's flattened predecoded stream —
      * block @p b spans @p stream [block_end[b-1], block_end[b]) and
      * continues into block b+1 when its terminator resolves to
      * @p continuations [b] (the next block's start address). Stops at

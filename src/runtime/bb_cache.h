@@ -3,22 +3,20 @@
  * The basic-block cache (paper §4.1).
  *
  * Rather than interpreting cold code, DynamoRIO copies every executed
- * basic block into a basic-block cache before running it. We model the
- * same structure: a map from guest start address to a private copy of
- * the block, with per-module indexing so unmapped modules can be
- * invalidated, plus copy statistics for the cost accounting.
+ * basic block into a basic-block cache before running it. Blocks here
+ * execute straight from the AddressSpace's predecoded streams, so the
+ * "copy into the bb cache" is bookkeeping: a residency entry per dense
+ * block id, invalidated by id range when a module unmaps, plus the copy
+ * statistics for the cost accounting.
  */
 
 #ifndef GENCACHE_RUNTIME_BB_CACHE_H
 #define GENCACHE_RUNTIME_BB_CACHE_H
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "guest/block_index.h"
-#include "guest/module.h"
-#include "isa/basic_block.h"
 
 namespace gencache::runtime {
 
@@ -31,58 +29,11 @@ struct BbCacheStats
     std::uint64_t invalidations = 0; ///< blocks dropped by unmap
 };
 
-/** Software cache of copied basic blocks. */
+/** Software cache of copied basic blocks, keyed by dense block id. */
 class BasicBlockCache
 {
   public:
     BasicBlockCache() = default;
-
-    /**
-     * @return the cached copy of the block at @p addr, copying it in
-     * from @p source on first use (the returned pointer is stable
-     * until the block is invalidated).
-     */
-    const isa::BasicBlock *fetch(isa::GuestAddr addr,
-                                 const isa::BasicBlock &source,
-                                 guest::ModuleId module);
-
-    /** @return the cached copy, or nullptr when absent. */
-    const isa::BasicBlock *lookup(isa::GuestAddr addr) const;
-
-    /** Drop every block belonging to @p module. */
-    void invalidateModule(guest::ModuleId module);
-
-    /** @return number of resident blocks. */
-    std::size_t blockCount() const { return blocks_.size(); }
-
-    /** @return total bytes of resident blocks. */
-    std::uint64_t usedBytes() const { return usedBytes_; }
-
-    const BbCacheStats &stats() const { return stats_; }
-
-  private:
-    struct Entry
-    {
-        isa::BasicBlock block;
-        guest::ModuleId module = guest::kInvalidModule;
-    };
-
-    std::unordered_map<isa::GuestAddr, Entry> blocks_;
-    std::uint64_t usedBytes_ = 0;
-    BbCacheStats stats_;
-};
-
-/**
- * Flat basic-block cache for the front-end fast path. The fast path
- * executes straight from the predecoded stream, so the "copy into the
- * bb cache" is pure bookkeeping: a per-dense-block-id residency bit
- * plus the same BbCacheStats the hash-map cache keeps — which lets
- * the identity test assert stat-for-stat equality between front ends.
- */
-class DenseBlockCache
-{
-  public:
-    DenseBlockCache() = default;
 
     /** Grow the residency table to cover ids below @p limit. */
     void ensureCapacity(guest::BlockId limit)
@@ -127,8 +78,12 @@ class DenseBlockCache
         }
     }
 
+    /** @return number of resident blocks. */
     std::size_t blockCount() const { return blockCount_; }
+
+    /** @return total bytes of resident blocks. */
     std::uint64_t usedBytes() const { return usedBytes_; }
+
     const BbCacheStats &stats() const { return stats_; }
 
   private:

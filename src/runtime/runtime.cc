@@ -6,10 +6,11 @@ namespace gencache::runtime {
 
 Runtime::Runtime(guest::AddressSpace &space,
                  cache::CacheManager &manager,
-                 std::uint32_t trace_threshold, FrontEnd frontend)
-    : space_(space), manager_(manager), interp_(space),
-      frontend_(frontend), heads_(trace_threshold),
-      denseHeads_(trace_threshold)
+                 std::uint32_t trace_threshold)
+    : cache::CacheEventListener(/*wants_hits=*/false,
+                                /*wants_misses=*/false),
+      space_(space), manager_(manager), interp_(space),
+      heads_(trace_threshold)
 {
     manager_.setListener(this);
     std::uint64_t footprint = 0;
@@ -26,8 +27,8 @@ void
 Runtime::syncBlockCapacity()
 {
     guest::BlockId limit = space_.blockIndex().blockLimit();
-    denseHeads_.ensureCapacity(limit);
-    denseBbCache_.ensureCapacity(limit);
+    heads_.ensureCapacity(limit);
+    bbCache_.ensureCapacity(limit);
     if (traceIdOfBlock_.size() < limit) {
         traceIdOfBlock_.resize(limit, cache::kInvalidTrace);
         slotOfBlock_.resize(limit, kInvalidSlot);
@@ -50,19 +51,10 @@ Runtime::loadModule(const guest::GuestModule &module)
 void
 Runtime::unloadModule(guest::ModuleId module)
 {
-    // Capture the module's dense id range and address bounds before
-    // the unmap retires them.
+    // Capture the module's dense id range before the unmap retires it.
     guest::BlockId first = 0;
     guest::BlockId last = 0;
     bool ranged = space_.moduleBlockRange(module, first, last);
-    isa::GuestAddr base = 0;
-    isa::GuestAddr end = 0;
-    for (const guest::GuestModule *mapped : space_.mappedModules()) {
-        if (mapped->id() == module) {
-            base = mapped->baseAddr();
-            end = mapped->endAddr();
-        }
-    }
 
     // Order matters: the manager's invalidation fires onEvict events
     // that unlink evicted traces, so the linker must still know them.
@@ -70,7 +62,6 @@ Runtime::unloadModule(guest::ModuleId module)
 
     for (auto it = traces_.begin(); it != traces_.end();) {
         if (it->second.module == module) {
-            traceIdOfEntry_.erase(it->second.entry);
             guest::BlockId bid = space_.blockIdAt(it->second.entry);
             if (bid != guest::kInvalidBlockId) {
                 traceIdOfBlock_[bid] = cache::kInvalidTrace;
@@ -82,14 +73,11 @@ Runtime::unloadModule(guest::ModuleId module)
             ++it;
         }
     }
-    // Per-mode block state: each call no-ops for the inactive mode's
-    // structures (they are empty). Head counters in the unloaded
-    // range are dropped too — they must not survive into a remap.
-    bbCache_.invalidateModule(module);
-    heads_.removeRange(base, end);
+    // Head counters in the unloaded range are dropped too — they must
+    // not survive into a remap.
     if (ranged) {
-        denseBbCache_.invalidateRange(first, last);
-        denseHeads_.removeRange(first, last);
+        bbCache_.invalidateRange(first, last);
+        heads_.removeRange(first, last);
     }
     space_.unmap(module);
     log_.append(tracelog::Event::moduleUnload(now(), module));
@@ -126,112 +114,36 @@ Runtime::run(std::uint64_t max_instructions)
 void
 Runtime::dispatch()
 {
-    if (frontend_ == FrontEnd::Predecoded) {
-        dispatchFast();
-        return;
-    }
-    isa::GuestAddr pc = state_.pc;
-    auto it = traceIdOfEntry_.find(pc);
-    if (it != traceIdOfEntry_.end()) {
-        cache::TraceId tid = it->second;
-        if (!manager_.lookup(tid, now())) {
-            // Code cache miss: regenerate the trace (§6.2's miss cost:
-            // two context switches, a regeneration, and a copy).
-            if (regenerate(tid)) {
-                ++stats_.traceRegenerations;
-            } else {
-                // Cannot be cached right now: fall back to the
-                // interpreter for this block.
-                interpretBlock();
-                return;
-            }
-        }
-        ++stats_.contextSwitches; // dispatcher -> code cache
-        cache::TraceId current = tid;
-        while (current != cache::kInvalidTrace && !state_.halted) {
-            current = executeTrace(current);
-        }
-        ++stats_.contextSwitches; // code cache -> dispatcher
-        return;
-    }
-    interpretBlock();
-}
-
-void
-Runtime::dispatchFast()
-{
     guest::BlockId bid = space_.blockIdAt(state_.pc);
     cache::TraceId tid = bid != guest::kInvalidBlockId
                              ? traceIdOfBlock_[bid]
                              : cache::kInvalidTrace;
-    if (tid != cache::kInvalidTrace) {
-        if (!manager_.lookup(tid, now())) {
-            if (regenerate(tid)) {
-                ++stats_.traceRegenerations;
-            } else {
-                interpretBlockFast(bid);
-                return;
-            }
-        }
-        ++stats_.contextSwitches; // dispatcher -> code cache
-        TraceSlot current = slotOfBlock_[bid];
-        while (current != kInvalidSlot && !state_.halted) {
-            current = executeTraceFast(current);
-        }
-        ++stats_.contextSwitches; // code cache -> dispatcher
+    if (tid == cache::kInvalidTrace) {
+        interpretBlock(bid);
         return;
     }
-    interpretBlockFast(bid);
-}
-
-cache::TraceId
-Runtime::executeTrace(cache::TraceId id)
-{
-    auto it = traces_.find(id);
-    if (it == traces_.end()) {
-        GENCACHE_PANIC("executing unknown trace {}", id);
-    }
-    const Trace &trace = it->second;
-    if (state_.pc != trace.entry) {
-        GENCACHE_PANIC("trace {} entered at {} (entry {})", id,
-                       state_.pc, trace.entry);
-    }
-    ++stats_.traceExecutions;
-    log_.append(tracelog::Event::traceExec(now(), id));
-
-    std::size_t index = 0;
-    while (index < trace.blockAddrs.size()) {
-        interp::BlockResult result = interp_.executeBlock(state_);
-        stats_.instructionsInTraces += result.instructions;
-        if (result.halted) {
-            return cache::kInvalidTrace;
-        }
-        if (index + 1 < trace.blockAddrs.size() &&
-            result.next == trace.blockAddrs[index + 1]) {
-            ++index;
-            continue;
-        }
-        break;
-    }
-
-    // Trace exit. Tail-chain into a linked resident trace, otherwise
-    // return to the dispatcher and mark the exit as a trace head.
-    isa::GuestAddr target = state_.pc;
-    cache::TraceId next = linker_.traceAt(target);
-    if (next != cache::kInvalidTrace && linker_.linked(id, next)) {
-        if (manager_.lookup(next, now())) {
-            return next;
+    if (!manager_.lookup(tid, now())) {
+        // Code cache miss: regenerate the trace (§6.2's miss cost: two
+        // context switches, a regeneration, and a copy).
+        if (regenerate(tid)) {
+            ++stats_.traceRegenerations;
+        } else {
+            // Cannot be cached right now: fall back to the interpreter
+            // for this block.
+            interpretBlock(bid);
+            return;
         }
     }
-    if (space_.blockAt(target) != nullptr &&
-        traceIdOfEntry_.count(target) == 0) {
-        heads_.markHead(target, TraceHeadKind::TraceExit);
+    ++stats_.contextSwitches; // dispatcher -> code cache
+    TraceSlot current = slotOfBlock_[bid];
+    while (current != kInvalidSlot && !state_.halted) {
+        current = executeTrace(current);
     }
-    return cache::kInvalidTrace;
+    ++stats_.contextSwitches; // code cache -> dispatcher
 }
 
 TraceSlot
-Runtime::executeTraceFast(TraceSlot slot)
+Runtime::executeTrace(TraceSlot slot)
 {
     const Trace *trace = traceBySlot_[slot];
     if (trace == nullptr) {
@@ -256,7 +168,8 @@ Runtime::executeTraceFast(TraceSlot slot)
 
     // Trace exit: direct chaining. The linker's cached successor slot
     // resolves "is this exit patched to a resident trace" in one scan
-    // of the trace's few exit targets — no dispatcher hash lookup.
+    // of the trace's few exit targets — no dispatcher lookup. Otherwise
+    // control returns to the dispatcher and the exit becomes a head.
     isa::GuestAddr target = result.next;
     TraceSlot next = linker_.cachedSuccessor(slot, target);
     if (next != kInvalidSlot &&
@@ -266,57 +179,22 @@ Runtime::executeTraceFast(TraceSlot slot)
     guest::BlockId bid = space_.blockIdAt(target);
     if (bid != guest::kInvalidBlockId &&
         traceIdOfBlock_[bid] == cache::kInvalidTrace) {
-        denseHeads_.markHead(bid, TraceHeadKind::TraceExit);
+        heads_.markHead(bid, TraceHeadKind::TraceExit);
     }
     return kInvalidSlot;
 }
 
 void
-Runtime::interpretBlock()
-{
-    isa::GuestAddr pc = state_.pc;
-    const guest::GuestModule *module = space_.moduleAt(pc);
-    if (module == nullptr) {
-        GENCACHE_PANIC("guest pc {} is not in any mapped module ({})",
-                       pc, space_.describeAddr(pc));
-    }
-    const isa::BasicBlock *source = space_.blockAt(pc);
-    if (source == nullptr) {
-        GENCACHE_PANIC("guest pc {} is not a block start ({})", pc,
-                       space_.describeAddr(pc));
-    }
-    bbCache_.fetch(pc, *source, module->id());
-
-    if (heads_.isHead(pc) && heads_.recordExecution(pc)) {
-        buildTrace(pc);
-        return;
-    }
-
-    interp::BlockResult result = interp_.executeBlock(state_);
-    stats_.instructionsInterpreted += result.instructions;
-    ++stats_.blocksInterpreted;
-    if (!result.halted && result.backwardTransfer) {
-        // Target of a backward branch: candidate loop head (§4.1).
-        if (traceIdOfEntry_.count(result.next) == 0) {
-            heads_.markHead(result.next,
-                            TraceHeadKind::BackwardBranchTarget);
-        }
-    }
-}
-
-void
-Runtime::interpretBlockFast(guest::BlockId block)
+Runtime::interpretBlock(guest::BlockId block)
 {
     if (block == guest::kInvalidBlockId) {
         GENCACHE_PANIC("guest pc {} is not a mapped block start ({})",
                        state_.pc, space_.describeAddr(state_.pc));
     }
-    denseBbCache_.fetch(block,
-                        space_.blockIndex().meta(block).sizeBytes);
+    bbCache_.fetch(block, space_.blockIndex().meta(block).sizeBytes);
 
-    if (denseHeads_.isHead(block) &&
-        denseHeads_.recordExecution(block)) {
-        buildTrace(state_.pc);
+    if (heads_.recordExecution(block)) {
+        buildTrace(block);
         return;
     }
 
@@ -324,77 +202,31 @@ Runtime::interpretBlockFast(guest::BlockId block)
     stats_.instructionsInterpreted += result.instructions;
     ++stats_.blocksInterpreted;
     if (!result.halted && result.backwardTransfer) {
+        // Target of a backward branch: candidate loop head (§4.1).
         guest::BlockId next_bid = space_.blockIdAt(result.next);
         if (next_bid != guest::kInvalidBlockId &&
             traceIdOfBlock_[next_bid] == cache::kInvalidTrace) {
-            denseHeads_.markHead(next_bid,
-                                 TraceHeadKind::BackwardBranchTarget);
+            heads_.markHead(next_bid,
+                            TraceHeadKind::BackwardBranchTarget);
         }
     }
 }
 
-bool
-Runtime::isTraceEntry(isa::GuestAddr addr) const
-{
-    if (frontend_ == FrontEnd::Legacy) {
-        return traceIdOfEntry_.count(addr) != 0;
-    }
-    guest::BlockId bid = space_.blockIdAt(addr);
-    return bid != guest::kInvalidBlockId &&
-           traceIdOfBlock_[bid] != cache::kInvalidTrace;
-}
-
-bool
-Runtime::isHeadAt(isa::GuestAddr addr) const
-{
-    if (frontend_ == FrontEnd::Legacy) {
-        return heads_.isHead(addr);
-    }
-    guest::BlockId bid = space_.blockIdAt(addr);
-    return bid != guest::kInvalidBlockId && denseHeads_.isHead(bid);
-}
-
 void
-Runtime::removeHeadAt(isa::GuestAddr addr)
+Runtime::buildTrace(guest::BlockId head)
 {
-    if (frontend_ == FrontEnd::Legacy) {
-        heads_.remove(addr);
-        return;
-    }
-    guest::BlockId bid = space_.blockIdAt(addr);
-    if (bid != guest::kInvalidBlockId) {
-        denseHeads_.remove(bid);
-    }
-}
+    heads_.remove(head);
 
-void
-Runtime::fetchBlock(isa::GuestAddr addr, const isa::BasicBlock &source,
-                    guest::ModuleId module)
-{
-    if (frontend_ == FrontEnd::Legacy) {
-        bbCache_.fetch(addr, source, module);
-        return;
-    }
-    guest::BlockId bid = space_.blockIdAt(addr);
-    denseBbCache_.fetch(bid, source.sizeBytes());
-}
-
-void
-Runtime::buildTrace(isa::GuestAddr entry)
-{
-    removeHeadAt(entry);
-
-    auto known = traceIdOfEntry_.find(entry);
-    if (known != traceIdOfEntry_.end()) {
+    cache::TraceId known = traceIdOfBlock_[head];
+    if (known != cache::kInvalidTrace) {
         // The trace exists but may have been evicted; reinstall it.
-        if (!manager_.contains(known->second)) {
-            if (regenerate(known->second)) {
-                ++stats_.traceRegenerations;
-            }
+        if (!manager_.contains(known) && regenerate(known)) {
+            ++stats_.traceRegenerations;
         }
         return;
     }
 
+    isa::GuestAddr entry = state_.pc;
     const guest::GuestModule *module = space_.moduleAt(entry);
     if (module == nullptr) {
         GENCACHE_PANIC("trace head {} is not mapped", entry);
@@ -411,25 +243,26 @@ Runtime::buildTrace(isa::GuestAddr entry)
         module->uid(), static_cast<std::uint32_t>(offset));
     builder_.begin(tid, entry, module->id());
     std::vector<const isa::BasicBlock *> path;
+    std::vector<guest::BlockId> path_ids;
 
     // Trace generation mode: execute and record until a stop
     // condition (§4.1): backward branch, existing trace (head),
     // indirect transfer, module boundary, or the block cap. This is
-    // a cold path (once per built trace), shared by both front ends;
-    // the mode-dispatching helpers keep each mode's head and bb-cache
-    // state coherent with its hot loops.
+    // a cold path (once per built trace).
+    guest::BlockId block = head;
     while (true) {
         isa::GuestAddr pc = state_.pc;
         const isa::BasicBlock *source = space_.blockAt(pc);
-        if (source == nullptr) {
+        if (block == guest::kInvalidBlockId || source == nullptr) {
             GENCACHE_PANIC("trace generation at unmapped pc {}", pc);
         }
-        fetchBlock(pc, *source, module->id());
-        interp::BlockResult result = interp_.executeBlock(state_);
+        bbCache_.fetch(block, source->sizeBytes());
+        interp::BlockResult result = interp_.executeBlock(state_, block);
         stats_.instructionsInterpreted += result.instructions;
         ++stats_.blocksInterpreted;
         builder_.append(*source, result.next);
         path.push_back(source);
+        path_ids.push_back(block);
 
         if (result.halted) {
             break;
@@ -440,7 +273,10 @@ Runtime::buildTrace(isa::GuestAddr entry)
         if (result.backwardTransfer) {
             break;
         }
-        if (isTraceEntry(result.next) || isHeadAt(result.next)) {
+        block = space_.blockIdAt(result.next);
+        if (block != guest::kInvalidBlockId &&
+            (traceIdOfBlock_[block] != cache::kInvalidTrace ||
+             heads_.isHead(block))) {
             break;
         }
         const guest::GuestModule *next_module =
@@ -475,12 +311,9 @@ Runtime::buildTrace(isa::GuestAddr entry)
         trace.sizeBytes = superblock.codeBytes() + stubs;
     }
 
-    // Resolve the dense block-id path once, at build time, so fast
-    // trace execution reads the predecoded streams directly.
-    trace.blockIds.reserve(trace.blockAddrs.size());
-    for (isa::GuestAddr addr : trace.blockAddrs) {
-        trace.blockIds.push_back(space_.blockIdAt(addr));
-    }
+    // The dense block-id path, so trace execution reads the
+    // predecoded streams directly.
+    trace.blockIds = std::move(path_ids);
 
     Trace &stored = registerTrace(tid, std::move(trace));
     ++stats_.tracesBuilt;
@@ -494,7 +327,7 @@ Trace &
 Runtime::registerTrace(cache::TraceId id, Trace trace)
 {
     // Flatten the path's predecoded blocks into one contiguous stream
-    // (the trace-cache "emitted code" the fast path executes from).
+    // (the trace-cache "emitted code" that trace execution runs from).
     const guest::BlockIndex &index = space_.blockIndex();
     trace.stream.clear();
     trace.streamEnd.clear();
@@ -515,7 +348,6 @@ Runtime::registerTrace(cache::TraceId id, Trace trace)
     if (!inserted) {
         GENCACHE_PANIC("canonical trace id {} registered twice", id);
     }
-    traceIdOfEntry_.emplace(entry, id);
     guest::BlockId bid = space_.blockIdAt(entry);
     if (bid != guest::kInvalidBlockId) {
         traceIdOfBlock_[bid] = id;
@@ -547,50 +379,19 @@ Runtime::installTrace(const Trace &trace)
 }
 
 void
-Runtime::onMiss(cache::TraceId id, TimeUs time)
-{
-    if (chained_ != nullptr) {
-        chained_->onMiss(id, time);
-    }
-}
-
-void
-Runtime::onHit(cache::TraceId id, cache::Generation gen, TimeUs time)
-{
-    if (chained_ != nullptr) {
-        chained_->onHit(id, gen, time);
-    }
-}
-
-void
-Runtime::onInsert(const cache::Fragment &frag, cache::Generation gen,
-                  TimeUs time)
-{
-    if (chained_ != nullptr) {
-        chained_->onInsert(frag, gen, time);
-    }
-}
-
-void
-Runtime::onEvict(const cache::Fragment &frag, cache::Generation gen,
-                 cache::EvictReason reason, TimeUs time)
+Runtime::onEvict(const cache::Fragment &frag, cache::Generation,
+                 cache::EvictReason reason, TimeUs)
 {
     if (cache::isDeletion(reason)) {
         linker_.onTraceEvicted(frag.id);
     }
-    if (chained_ != nullptr) {
-        chained_->onEvict(frag, gen, reason, time);
-    }
 }
 
 void
-Runtime::onPromote(const cache::Fragment &frag, cache::Generation from,
-                   cache::Generation to, TimeUs time)
+Runtime::onPromote(const cache::Fragment &frag, cache::Generation,
+                   cache::Generation, TimeUs)
 {
     linker_.onTraceMoved(frag.id);
-    if (chained_ != nullptr) {
-        chained_->onPromote(frag, from, to, time);
-    }
 }
 
 } // namespace gencache::runtime

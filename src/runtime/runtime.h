@@ -18,6 +18,13 @@
  * simulator (src/sim) — the same structure as the paper's
  * DynamoRIO-log-plus-cache-simulator methodology.
  *
+ * Every per-block structure is a flat table indexed by the
+ * AddressSpace's dense block ids: the dispatch table (block -> trace),
+ * the basic-block cache, and the trace-head counters. Blocks and
+ * traces execute from predecoded instruction streams.
+ * tests/test_frontend_identity.cc pins the logs and statistics of a
+ * grid of live runs by committed digests.
+ *
  * Simplification vs. DynamoRIO (documented in DESIGN.md): on a code
  * cache miss the trace is regenerated immediately rather than
  * re-warming its head counter, matching the cost composition of §6.2
@@ -75,19 +82,6 @@ struct RuntimeStats
     }
 };
 
-/**
- * Which front end produces the access log. Both are bit-identical in
- * emitted events and statistics (tests/test_frontend_identity.cc);
- * Predecoded is the default and replaces the per-block hash/map
- * lookups of the legacy path with dense-array reads over the
- * AddressSpace block index. Legacy stays selectable only as the
- * identity tests' oracle.
- */
-enum class FrontEnd : std::uint8_t {
-    Legacy,     ///< hash-map dispatch, re-decoded instruction walk
-    Predecoded, ///< flat dispatch table + predecoded streams
-};
-
 /** The dynamic optimizer. */
 class Runtime : public cache::CacheEventListener
 {
@@ -97,12 +91,9 @@ class Runtime : public cache::CacheEventListener
      *        mapped or mapped later via loadModule)
      * @param manager the global code cache manager under test
      * @param trace_threshold trace-head executions before generation
-     * @param frontend fast predecoded path (default) or the legacy
-     *        reference path
      */
     Runtime(guest::AddressSpace &space, cache::CacheManager &manager,
-            std::uint32_t trace_threshold = kDefaultTraceThreshold,
-            FrontEnd frontend = FrontEnd::Predecoded);
+            std::uint32_t trace_threshold = kDefaultTraceThreshold);
 
     Runtime(const Runtime &) = delete;
     Runtime &operator=(const Runtime &) = delete;
@@ -132,16 +123,7 @@ class Runtime : public cache::CacheEventListener
 
     const RuntimeStats &stats() const { return stats_; }
 
-    /** Stats of whichever basic-block cache the active front end
-     *  uses (the other one stays empty). */
-    const BbCacheStats &bbCacheStats() const
-    {
-        return frontend_ == FrontEnd::Legacy ? bbCache_.stats()
-                                             : denseBbCache_.stats();
-    }
-
-    /** The active front end. */
-    FrontEnd frontend() const { return frontend_; }
+    const BbCacheStats &bbCacheStats() const { return bbCache_.stats(); }
 
     const TraceLinker &linker() const { return linker_; }
     const tracelog::AccessLog &log() const { return log_; }
@@ -170,8 +152,8 @@ class Runtime : public cache::CacheEventListener
     const guest::AddressSpace &space() const { return space_; }
 
     /** The dense dispatch table: dense block id -> trace id entered
-     *  at that block, or cache::kInvalidTrace. Maintained in both
-     *  front-end modes; introspection for the static checker. */
+     *  at that block, or cache::kInvalidTrace. Introspection for the
+     *  static checker. */
     const std::vector<cache::TraceId> &dispatchTable() const
     {
         return traceIdOfBlock_;
@@ -188,12 +170,6 @@ class Runtime : public cache::CacheEventListener
         checkpointHook_ = std::move(hook);
     }
 
-    /** Forward cache events to @p listener as well (cost model). */
-    void chainListener(cache::CacheEventListener *listener)
-    {
-        chained_ = listener;
-    }
-
     /** Enable/disable trace optimization (default: enabled). When
      *  enabled, freshly selected superblocks run through the opt
      *  pipeline and the *optimized* size is what the code cache
@@ -203,13 +179,9 @@ class Runtime : public cache::CacheEventListener
         optimizeTraces_ = enabled;
     }
 
-    /// @name CacheEventListener (keeps linker and maps in sync).
+    /// @name CacheEventListener (keeps the linker in sync; hits and
+    /// misses are not observed).
     /// @{
-    void onMiss(cache::TraceId id, TimeUs time) override;
-    void onHit(cache::TraceId id, cache::Generation gen,
-               TimeUs time) override;
-    void onInsert(const cache::Fragment &frag, cache::Generation gen,
-                  TimeUs time) override;
     void onEvict(const cache::Fragment &frag, cache::Generation gen,
                  cache::EvictReason reason, TimeUs time) override;
     void onPromote(const cache::Fragment &frag, cache::Generation from,
@@ -217,37 +189,28 @@ class Runtime : public cache::CacheEventListener
     /// @}
 
   private:
-    /** One dispatcher iteration: run a trace or interpret a block. */
+    /** One dispatcher iteration: run a trace through the flat dispatch
+     *  table or interpret a block. */
     void dispatch();
 
-    /** dispatch() for the predecoded front end: flat dispatch table
-     *  and dense-id execution. */
-    void dispatchFast();
-
-    /** Execute the resident trace @p id from its entry.
-     *  @return the trace id tail-chained into, or kInvalidTrace when
+    /** Execute the resident trace in @p slot from its entry: its
+     *  flattened predecoded stream, then direct chaining through the
+     *  linker's cached successor slots. Works on dense TraceSlots, not
+     *  canonical ids — canonical (module, offset) ids are sparse
+     *  64-bit keys, so the flat hot-path tables index by slot.
+     *  @return the slot tail-chained into, or kInvalidSlot when
      *  control returned to the dispatcher. */
-    cache::TraceId executeTrace(cache::TraceId id);
+    TraceSlot executeTrace(TraceSlot slot);
 
-    /** executeTrace() for the predecoded front end: predecoded block
-     *  streams and direct chaining through the linker's cached
-     *  successor slots (no dispatcher hash lookup on linked exits).
-     *  Works on dense TraceSlots, not canonical ids — canonical
-     *  (module, offset) ids are sparse 64-bit keys, so the flat
-     *  hot-path tables index by slot. */
-    TraceSlot executeTraceFast(TraceSlot slot);
+    /** Interpret block @p block (the dense id of the block at the
+     *  current pc; kInvalidBlockId panics with mapping context)
+     *  through the bb cache, maintaining trace-head counters and
+     *  possibly entering trace generation. */
+    void interpretBlock(guest::BlockId block);
 
-    /** Interpret one block through the bb cache, maintaining trace
-     *  head counters and possibly entering trace generation. */
-    void interpretBlock();
-
-    /** interpretBlock() for the predecoded front end; @p block is the
-     *  dense id of the block at the current pc (kInvalidBlockId
-     *  panics with mapping context). */
-    void interpretBlockFast(guest::BlockId block);
-
-    /** Record a new trace starting at the hot head @p entry. */
-    void buildTrace(isa::GuestAddr entry);
+    /** Record a new trace starting at the hot head @p head, the
+     *  block at the current pc. */
+    void buildTrace(guest::BlockId head);
 
     /** Re-insert a previously built trace after a cache miss. */
     bool regenerate(cache::TraceId id);
@@ -255,50 +218,33 @@ class Runtime : public cache::CacheEventListener
     /** Insert @p trace into the managed cache and link it. */
     bool installTrace(const Trace &trace);
 
-    /** Register a freshly built trace in the lookup structures (both
-     *  the legacy entry map and the dense dispatch table). */
+    /** Register a freshly built trace in the dispatch tables. */
     Trace &registerTrace(cache::TraceId id, Trace trace);
 
     /** Grow the dense per-block side tables to the address space's
      *  current block-id limit (after every module load). */
     void syncBlockCapacity();
 
-    /// @name Mode-dispatching helpers for shared cold paths
-    /// (trace generation), so both front ends consult the same head
-    /// and bb-cache state they maintain in their hot loops.
-    /// @{
-    bool isTraceEntry(isa::GuestAddr addr) const;
-    bool isHeadAt(isa::GuestAddr addr) const;
-    void removeHeadAt(isa::GuestAddr addr);
-    void fetchBlock(isa::GuestAddr addr, const isa::BasicBlock &source,
-                    guest::ModuleId module);
-    /// @}
-
     guest::AddressSpace &space_;
     cache::CacheManager &manager_;
     interp::Interpreter interp_;
     interp::CpuState state_;
-    FrontEnd frontend_;
-    BasicBlockCache bbCache_;        ///< legacy mode only
-    DenseBlockCache denseBbCache_;   ///< predecoded mode only
-    TraceHeadTable heads_;           ///< legacy mode only
-    DenseTraceHeadTable denseHeads_; ///< predecoded mode only
+    BasicBlockCache bbCache_;
+    TraceHeadTable heads_;
     TraceBuilder builder_;
     TraceLinker linker_;
     opt::PassManager optimizer_ = opt::makeDefaultPipeline();
     bool optimizeTraces_ = true;
     tracelog::AccessLog log_;
     RuntimeStats stats_;
-    cache::CacheEventListener *chained_ = nullptr;
     std::function<void(const Runtime &)> checkpointHook_;
 
     std::unordered_map<cache::TraceId, Trace> traces_;
-    std::unordered_map<isa::GuestAddr, cache::TraceId> traceIdOfEntry_;
     /** Dense dispatch table: block id -> canonical id of the trace
      *  entered there. */
     std::vector<cache::TraceId> traceIdOfBlock_;
     /** Dense dispatch sidecar: block id -> slot of the trace entered
-     *  there (the fast path's flat-array handle for the same trace
+     *  there (the hot paths' flat-array handle for the same trace
      *  traceIdOfBlock_ names). */
     std::vector<TraceSlot> slotOfBlock_;
     /** Slot -> Trace lookup (pointers into traces_, whose nodes are

@@ -13,81 +13,30 @@
 #define GENCACHE_RUNTIME_TRACE_HEAD_H
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "guest/block_index.h"
-#include "isa/instruction.h"
 
 namespace gencache::runtime {
 
 /** DynamoRIO's default trace creation threshold. */
 constexpr std::uint32_t kDefaultTraceThreshold = 50;
 
-/** Why an address became a trace head. */
+/** Why a block became a trace head. */
 enum class TraceHeadKind : std::uint8_t {
     BackwardBranchTarget,
     TraceExit,
 };
 
-/** Counter table for candidate trace heads. */
+/**
+ * Counter table for candidate trace heads, keyed by dense
+ * `guest::BlockId`, so the per-block-execution hot operations
+ * (isHead / recordExecution) are vector reads.
+ */
 class TraceHeadTable
 {
   public:
     explicit TraceHeadTable(
-        std::uint32_t threshold = kDefaultTraceThreshold);
-
-    std::uint32_t threshold() const { return threshold_; }
-
-    /** Register @p addr as a trace head (idempotent). */
-    void markHead(isa::GuestAddr addr, TraceHeadKind kind);
-
-    /** @return true when @p addr is a registered trace head. */
-    bool isHead(isa::GuestAddr addr) const;
-
-    /**
-     * Count one execution of trace head @p addr.
-     * @return true when the counter just reached the threshold (the
-     * caller should enter trace generation mode).
-     */
-    bool recordExecution(isa::GuestAddr addr);
-
-    /** Remove the head (after its trace was built) so the counter
-     *  stops; re-marking later restarts from zero. Removing an
-     *  address that is not a head is a no-op. */
-    void remove(isa::GuestAddr addr);
-
-    /** Remove every head in the address range [base, end) (module
-     *  unload: its counters must not survive a later remap). */
-    void removeRange(isa::GuestAddr base, isa::GuestAddr end);
-
-    /** Current counter value; 0 when not a head. */
-    std::uint32_t count(isa::GuestAddr addr) const;
-
-    std::size_t headCount() const { return counters_.size(); }
-
-  private:
-    struct HeadInfo
-    {
-        std::uint32_t count = 0;
-        TraceHeadKind kind = TraceHeadKind::BackwardBranchTarget;
-    };
-
-    std::uint32_t threshold_;
-    std::unordered_map<isa::GuestAddr, HeadInfo> counters_;
-};
-
-/**
- * Flat trace-head counters for the front-end fast path: the same
- * contract as TraceHeadTable, but keyed by dense `guest::BlockId` so
- * the per-block-execution hot operations (isHead / recordExecution)
- * are vector reads instead of hash probes. The runtime uses exactly
- * one of the two tables, selected by its FrontEnd mode.
- */
-class DenseTraceHeadTable
-{
-  public:
-    explicit DenseTraceHeadTable(
         std::uint32_t threshold = kDefaultTraceThreshold)
         : threshold_(threshold)
     {
@@ -105,6 +54,7 @@ class DenseTraceHeadTable
         }
     }
 
+    /** Register @p block as a trace head (idempotent). */
     void markHead(guest::BlockId block, TraceHeadKind kind)
     {
         if (kinds_[block] == kNotAHead) {
@@ -114,11 +64,17 @@ class DenseTraceHeadTable
         }
     }
 
+    /** @return true when @p block is a registered trace head. */
     bool isHead(guest::BlockId block) const
     {
         return kinds_[block] != kNotAHead;
     }
 
+    /**
+     * Count one execution of trace head @p block.
+     * @return true when the counter just reached the threshold (the
+     * caller should enter trace generation mode); false for non-heads.
+     */
     bool recordExecution(guest::BlockId block)
     {
         if (kinds_[block] == kNotAHead) {
@@ -127,6 +83,9 @@ class DenseTraceHeadTable
         return ++counts_[block] == threshold_;
     }
 
+    /** Remove the head (after its trace was built) so the counter
+     *  stops; re-marking later restarts from zero. Removing a block
+     *  that is not a head is a no-op. */
     void remove(guest::BlockId block)
     {
         if (kinds_[block] != kNotAHead) {
@@ -144,6 +103,7 @@ class DenseTraceHeadTable
         }
     }
 
+    /** Current counter value; 0 when not a head. */
     std::uint32_t count(guest::BlockId block) const
     {
         return block < counts_.size() ? counts_[block] : 0;

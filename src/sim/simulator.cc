@@ -25,16 +25,29 @@ CacheSimulator::run(const tracelog::AccessLog &log)
         }
     };
 
-    for (const tracelog::Event &event : log.events()) {
+    // Event index of each module's latest unload.
+    std::unordered_map<cache::ModuleId, std::size_t> lastUnload;
+
+    for (std::size_t i = 0; i < log.size(); ++i) {
+        const tracelog::Event &event = log[i];
         switch (event.type) {
           case tracelog::EventType::TraceCreate: {
             TraceInfo info;
             info.sizeBytes = event.sizeBytes;
             info.module = event.module;
+            info.createdAt = i;
             auto [it, fresh] = registry.emplace(event.trace, info);
             if (!fresh) {
-                GENCACHE_PANIC("trace {} created twice in log",
-                               event.trace);
+                // A module reload re-creates its traces under their
+                // canonical ids: once the module of the previous
+                // creation has unloaded, this is a fresh trace.
+                auto unload = lastUnload.find(it->second.module);
+                if (unload == lastUnload.end() ||
+                    unload->second < it->second.createdAt) {
+                    GENCACHE_PANIC("trace {} created twice in log",
+                                   event.trace);
+                }
+                it->second = info;
             }
             ++result.createdTraces;
             result.createdBytes += event.sizeBytes;
@@ -74,6 +87,7 @@ CacheSimulator::run(const tracelog::AccessLog &log)
             }
             break;
           case tracelog::EventType::ModuleUnload:
+            lastUnload[event.module] = i;
             manager_.invalidateModule(event.module, event.time);
             if (checkpointHook_) {
                 checkpointHook_(manager_, event.time);

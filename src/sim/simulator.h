@@ -72,7 +72,10 @@ class CacheSimulator
      */
     explicit CacheSimulator(cache::CacheManager &manager);
 
-    /** Replay @p log from the beginning and return the results. */
+    /** Replay @p log from the beginning and return the results. A
+     *  trace created again after its module unloaded (a module
+     *  reload) replays as a fresh trace; any other repeated creation
+     *  panics. */
     SimResult run(const tracelog::AccessLog &log);
 
     /**
@@ -115,6 +118,7 @@ class CacheSimulator
         std::uint32_t sizeBytes = 0;
         cache::ModuleId module = cache::kNoModule;
         bool pinnedWanted = false;
+        std::size_t createdAt = 0; ///< event index of the creation
     };
 
     cache::CacheManager &manager_;

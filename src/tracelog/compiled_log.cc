@@ -43,6 +43,12 @@ class DenseIdMap
         return {next, true};
     }
 
+    /** Point @p id, which must be present, at dense id @p dense. */
+    void reassign(cache::TraceId id, DenseTraceId dense)
+    {
+        probe(id).densePlusOne = dense + 1;
+    }
+
   private:
     struct Slot
     {
@@ -100,20 +106,36 @@ CompiledLog::compile(const AccessLog &log)
 
     DenseIdMap remap(log.createdTraceCount());
     std::unordered_map<cache::ModuleId, std::size_t> moduleSlot;
-    std::vector<bool> created;
+    // 1 + event index of each module slot's latest unload and of each
+    // dense id's creation; 0 for never.
+    std::vector<std::size_t> unloadedAt;
+    std::vector<std::size_t> createdAt;
     std::vector<std::uint8_t> pinWanted;
 
+    auto add_dense = [&](cache::TraceId id) {
+        out.originalId_.push_back(id);
+        out.traceSize_.push_back(0);
+        out.traceModule_.push_back(cache::kNoModule);
+        createdAt.push_back(0);
+        pinWanted.push_back(0);
+        return static_cast<DenseTraceId>(out.originalId_.size() - 1);
+    };
     auto dense_of = [&](cache::TraceId id) {
         auto [dense, fresh] = remap.findOrAssign(
             id, static_cast<DenseTraceId>(out.originalId_.size()));
         if (fresh) {
-            out.originalId_.push_back(id);
-            out.traceSize_.push_back(0);
-            out.traceModule_.push_back(cache::kNoModule);
-            created.push_back(false);
-            pinWanted.push_back(0);
+            add_dense(id);
         }
         return dense;
+    };
+    // A module reload re-creates its traces under their canonical ids.
+    // Once the module of a trace's previous creation has unloaded, the
+    // new creation is a fresh trace with its own dense id, so the side
+    // tables keep one size and module per id.
+    auto module_unloaded_since_creation = [&](DenseTraceId dense) {
+        auto slot = moduleSlot.find(out.traceModule_[dense]);
+        return slot != moduleSlot.end() &&
+               unloadedAt[slot->second] > createdAt[dense];
     };
 
     for (std::size_t i = 0; i < count; ++i) {
@@ -124,11 +146,15 @@ CompiledLog::compile(const AccessLog &log)
         switch (event.type) {
           case EventType::TraceCreate:
             dense = dense_of(event.trace);
-            if (created[dense]) {
-                GENCACHE_PANIC("trace {} created twice in log",
-                               event.trace);
+            if (createdAt[dense] != 0) {
+                if (!module_unloaded_since_creation(dense)) {
+                    GENCACHE_PANIC("trace {} created twice in log",
+                                   event.trace);
+                }
+                dense = add_dense(event.trace);
+                remap.reassign(event.trace, dense);
             }
-            created[dense] = true;
+            createdAt[dense] = i + 1;
             pinWanted[dense] = 0;
             out.traceSize_[dense] = event.sizeBytes;
             out.traceModule_[dense] = event.module;
@@ -137,7 +163,7 @@ CompiledLog::compile(const AccessLog &log)
             break;
           case EventType::TraceExec:
             dense = dense_of(event.trace);
-            if (!created[dense]) {
+            if (createdAt[dense] == 0) {
                 GENCACHE_PANIC("execution of unknown trace {}",
                                event.trace);
             }
@@ -160,6 +186,7 @@ CompiledLog::compile(const AccessLog &log)
                 range.module = module;
                 range.firstEvent = i;
                 out.moduleRanges_.push_back(range);
+                unloadedAt.push_back(0);
             }
             ModuleRange &range = out.moduleRanges_[it->second];
             range.lastEvent = i;
@@ -167,6 +194,7 @@ CompiledLog::compile(const AccessLog &log)
                 ++range.loads;
             } else {
                 ++range.unloads;
+                unloadedAt[it->second] = i + 1;
             }
             break;
           }

@@ -12,7 +12,8 @@
  *     module) that replay loops stream sequentially;
  *   - a dense remap of every TraceId that appears in the log to
  *     [0, traceCount()), so simulators can keep residency and pin
- *     state in flat vectors instead of hash maps;
+ *     state in flat vectors instead of hash maps (a trace re-created
+ *     by a module reload takes a second dense id);
  *   - per-trace side tables (creation size, owning module, original
  *     id) indexed by dense id, so a conflict-miss regeneration needs
  *     no registry lookup at all;
@@ -82,8 +83,10 @@ class CompiledLog
     };
 
     /**
-     * Compile @p log. Panics (like the per-event CacheSimulator loop)
-     * when a trace is created twice or executed before creation.
+     * Compile @p log. A trace created again after its module unloaded
+     * (a module reload) gets a fresh dense id with the same original
+     * id. Panics (like the per-event CacheSimulator loop) on any other
+     * repeated creation or an execution before creation.
      */
     static CompiledLog compile(const AccessLog &log);
 
@@ -134,7 +137,8 @@ class CompiledLog
 
     // --- per-trace side tables (indexed by dense id) ----------------
 
-    /** Number of distinct traces: the dense id bound. */
+    /** Number of distinct traces (a reloaded trace counts once per
+     *  creation): the dense id bound. */
     std::uint64_t traceCount() const { return originalId_.size(); }
 
     /** Creation size of dense trace @p id (0 if never created). */

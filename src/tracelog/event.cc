@@ -98,8 +98,8 @@ AccessLog::append(const Event &event)
     events_.push_back(event);
 }
 
-void
-AccessLog::validate() const
+std::string
+AccessLog::firstViolation() const
 {
     // A re-creation of the same trace id is legal only across a
     // reload of its module: each trace remembers the module unload
@@ -117,7 +117,7 @@ AccessLog::validate() const
     TimeUs last = 0;
     for (const Event &event : events_) {
         if (event.time < last) {
-            GENCACHE_PANIC("unsorted log at t={}", event.time);
+            return format("unsorted log at t={}", event.time);
         }
         last = event.time;
         switch (event.type) {
@@ -127,19 +127,19 @@ AccessLog::validate() const
                 event.trace, Creation{event.module, epoch});
             if (!inserted) {
                 if (it->second.module != event.module) {
-                    GENCACHE_PANIC(
+                    return format(
                         "trace {} re-created in module {} (was {})",
                         event.trace, event.module, it->second.module);
                 }
                 if (it->second.unloadEpoch == epoch) {
-                    GENCACHE_PANIC("duplicate creation of trace {}",
-                                   event.trace);
+                    return format("duplicate creation of trace {}",
+                                  event.trace);
                 }
                 it->second.unloadEpoch = epoch;
             }
             if (event.sizeBytes == 0) {
-                GENCACHE_PANIC("trace {} created with zero size",
-                               event.trace);
+                return format("trace {} created with zero size",
+                              event.trace);
             }
             break;
           }
@@ -147,23 +147,33 @@ AccessLog::validate() const
           case EventType::Pin:
           case EventType::Unpin:
             if (created.count(event.trace) == 0) {
-                GENCACHE_PANIC("trace {} used before creation",
-                               event.trace);
+                return format("trace {} used before creation",
+                              event.trace);
             }
             break;
           case EventType::ModuleLoad:
             if (!loaded.insert(event.module).second) {
-                GENCACHE_PANIC("module {} loaded twice", event.module);
+                return format("module {} loaded twice", event.module);
             }
             break;
           case EventType::ModuleUnload:
             if (loaded.erase(event.module) == 0) {
-                GENCACHE_PANIC("module {} unloaded while not loaded",
-                               event.module);
+                return format("module {} unloaded while not loaded",
+                              event.module);
             }
             ++unloadEpoch[event.module];
             break;
         }
+    }
+    return {};
+}
+
+void
+AccessLog::validate() const
+{
+    std::string violation = firstViolation();
+    if (!violation.empty()) {
+        GENCACHE_PANIC("{}", violation);
     }
 }
 

@@ -116,13 +116,19 @@ class AccessLog
     std::uint64_t createdTraceCount() const { return createdCount_; }
 
     /**
-     * Structural validation: non-decreasing times, each trace created
-     * before executed/pinned, no duplicate creations (a trace may be
-     * re-created only after its owning module unloaded — the module
-     * reload path), loads only of unloaded modules and unloads only
-     * of loaded ones. Panics on violation (these logs are
-     * generator/runtime products, so malformation is a bug).
+     * The log's structural rules: non-decreasing times, each trace
+     * created (with a nonzero size) before executed/pinned, no
+     * duplicate creations (a trace may be re-created only after its
+     * owning module unloaded — the module reload path), loads only of
+     * unloaded modules and unloads only of loaded ones.
+     * @return the first rule the log breaks, naming the trace or
+     * module, or an empty string when it keeps them all (the loaders
+     * report this for user-supplied files).
      */
+    std::string firstViolation() const;
+
+    /** firstViolation(), panicking on a violation (generator and
+     *  runtime logs: there, malformation is a bug). */
     void validate() const;
 
   private:

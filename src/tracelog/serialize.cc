@@ -27,6 +27,19 @@ constexpr std::uint32_t kTextVersion = 1;
 constexpr char kBinaryMagic[4] = {'G', 'C', 'L', '1'};
 constexpr char kBinaryMagicV2[4] = {'G', 'C', 'L', '2'};
 
+/** Formats with absolute times can go backwards, which
+ *  AccessLog::append treats as a bug; reject it as input instead. */
+void
+checkTimeOrder(const AccessLog &log, const Event &event,
+               std::uint64_t index)
+{
+    if (!log.empty() && event.time < log.events().back().time) {
+        parseFail("gclog: event {} at t={} is earlier than the one "
+                  "before it (t={})",
+                  index, event.time, log.events().back().time);
+    }
+}
+
 const char *
 typeToken(EventType type)
 {
@@ -317,6 +330,7 @@ readTextImpl(std::istream &in)
         if (!tokenToType(token, event.type)) {
             parseFail("gclog: unknown event type '{}'", token);
         }
+        checkTimeOrder(log, event, i);
         log.append(event);
     }
     return log;
@@ -404,6 +418,7 @@ readBinaryImpl(std::istream &in)
         event.trace = readLe<std::uint64_t>(in);
         event.sizeBytes = readLe<std::uint32_t>(in);
         event.module = readLe<std::uint32_t>(in);
+        checkTimeOrder(log, event, i);
         log.append(event);
     }
     return log;
@@ -431,6 +446,9 @@ endsWith(const std::string &text, const std::string &suffix)
                         suffix) == 0;
 }
 
+/** Read @p path and check the log's rules (AccessLog::
+ *  firstViolation): a file is user input, so a journal that breaks
+ *  them is rejected here rather than panicking in a replay. */
 AccessLog
 loadLogImpl(const std::string &path)
 {
@@ -438,10 +456,13 @@ loadLogImpl(const std::string &path)
     if (!in) {
         parseFail("cannot open '{}' for reading", path);
     }
-    if (endsWith(path, ".gclogb")) {
-        return readBinaryImpl(in);
+    AccessLog log = endsWith(path, ".gclogb") ? readBinaryImpl(in)
+                                              : readTextImpl(in);
+    std::string violation = log.firstViolation();
+    if (!violation.empty()) {
+        parseFail("'{}': {}", path, violation);
     }
-    return readTextImpl(in);
+    return log;
 }
 
 } // namespace

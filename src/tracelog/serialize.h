@@ -70,15 +70,19 @@ AccessLog readBinary(std::istream &in);
 /** Convenience file helpers; format chosen by extension ".gclog"
  *  (text) vs ".gclogb" (binary). @p binary_version selects the
  *  binary format version for ".gclogb" paths (text ignores it).
- *  fatal() on I/O failure. */
+ *  fatal() on I/O failure. loadLog() also checks the loaded events
+ *  against the log's rules (AccessLog::firstViolation) and calls
+ *  fatal() on the first one broken; readText()/readBinary() check
+ *  syntax only. */
 void saveLog(const AccessLog &log, const std::string &path,
              int binary_version = 2);
 AccessLog loadLog(const std::string &path);
 
-/** Like loadLog(), but reports unreadable or malformed input instead
- *  of aborting: @return true and fill @p out on success, else false
- *  with the reason in @p error (gencheck --journal exits with its
- *  distinct load-failure status on this path). */
+/** Like loadLog(), but reports unreadable, malformed, or rule-breaking
+ *  input instead of aborting: @return true and fill @p out on
+ *  success, else false with the reason in @p error (gencheck
+ *  --journal exits with its distinct load-failure status on this
+ *  path). */
 bool tryLoadLog(const std::string &path, AccessLog &out,
                 std::string &error);
 

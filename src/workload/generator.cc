@@ -116,13 +116,13 @@ emitTrace(GenContext &ctx, std::uint32_t size, cache::ModuleId module,
                 4, static_cast<std::size_t>(count / 16));
             centerTimes.reserve(2 * per_plateau);
             for (std::size_t k = 0; k < per_plateau; ++k) {
-                double offset = (static_cast<double>(k) + 0.5) /
-                                static_cast<double>(per_plateau) *
-                                plateau_span;
+                double into_plateau = (static_cast<double>(k) + 0.5) /
+                                      static_cast<double>(per_plateau) *
+                                      plateau_span;
                 centerTimes.push_back(static_cast<double>(create) +
-                                      offset);
+                                      into_plateau);
                 centerTimes.push_back(static_cast<double>(last) -
-                                      plateau_span + offset);
+                                      plateau_span + into_plateau);
             }
         } else {
             centerTimes.resize(centers);

@@ -8,14 +8,23 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "codecache/generational_cache.h"
 #include "codecache/unified_cache.h"
+#include "guest/address_space.h"
+#include "guest/synthetic_program.h"
+#include "runtime/runtime.h"
 #include "sim/batched_replay.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
 #include "sim/sweep.h"
 #include "support/thread_pool.h"
+#include "support/units.h"
+#include "tracelog/compiled_log.h"
 #include "workload/profile.h"
 
 namespace {
@@ -305,6 +314,99 @@ TEST(ReplayIdentity, SweepEnginesProduceIdenticalCells)
                 << "cell " << i;
             EXPECT_EQ(cell.missRateReductionPct, reduction)
                 << "cell " << i;
+        }
+    }
+}
+
+/** The live runtime's log of a run, a DLL unload and reload, and a
+ *  second run: the reloaded DLL's traces are created again under
+ *  their canonical (module uid, offset) ids. */
+tracelog::AccessLog
+liveReloadLog()
+{
+    guest::SyntheticProgramConfig config;
+    config.seed = 33;
+    config.phases = 2;
+    config.phaseIterations = 10;
+    config.innerIterations = 8;
+    config.dllCount = 1;
+    guest::SyntheticProgram synthetic =
+        guest::generateSyntheticProgram(config);
+
+    cache::UnifiedCacheManager manager(0);
+    guest::AddressSpace space;
+    runtime::Runtime runtime(space, manager, 10);
+    for (const auto &module : synthetic.program.modules()) {
+        runtime.loadModule(*module);
+    }
+    runtime.start(synthetic.program.entry());
+    runtime.run();
+    guest::ModuleId dll = synthetic.dllLastPhase.at(0).first;
+    runtime.unloadModule(dll);
+    for (const auto &module : synthetic.program.modules()) {
+        if (module->id() == dll) {
+            runtime.loadModule(*module);
+        }
+    }
+    runtime.start(synthetic.program.entry());
+    runtime.run();
+    return runtime.log();
+}
+
+// A module reload re-creates its traces under the same ids. Both replay
+// paths must treat each such creation as a fresh trace: the per-event
+// loop replaces its registry entry, compile() hands out a second dense
+// id for the same original id. A seven-event journal and the live log
+// above replay through the reference loop and a one-lane blocked pass
+// under unbounded, pressured-unified, and generational managers.
+TEST(ReplayIdentity, ModuleReloadLogReplays)
+{
+    using tracelog::Event;
+    tracelog::AccessLog journal;
+    journal.setBenchmark("reload-journal");
+    journal.append(Event::moduleLoad(0, 1));
+    journal.append(Event::traceCreate(1, 42, 64, 1));
+    journal.append(Event::traceExec(2, 42));
+    journal.append(Event::moduleUnload(3, 1));
+    journal.append(Event::moduleLoad(4, 1));
+    journal.append(Event::traceCreate(5, 42, 64, 1));
+    journal.append(Event::traceExec(6, 42));
+    journal.setDuration(6);
+
+    const tracelog::CompiledLog compiledJournal =
+        tracelog::CompiledLog::compile(journal);
+    ASSERT_EQ(compiledJournal.traceCount(), 2u);
+    EXPECT_EQ(compiledJournal.originalId(0), 42u);
+    EXPECT_EQ(compiledJournal.originalId(1), 42u);
+
+    const std::pair<const char *, tracelog::AccessLog> logs[] = {
+        {"journal", journal}, {"live", liveReloadLog()}};
+    for (const auto &[name, log] : logs) {
+        log.validate();
+        const tracelog::CompiledLog compiled =
+            tracelog::CompiledLog::compile(log);
+        EXPECT_GT(compiled.traceCount(), 0u) << name;
+
+        std::vector<std::unique_ptr<cache::CacheManager>> managers;
+        for (int copy = 0; copy < 2; ++copy) {
+            managers.push_back(
+                std::make_unique<cache::UnifiedCacheManager>(0));
+            managers.push_back(
+                std::make_unique<cache::UnifiedCacheManager>(
+                    2 * kKiB));
+            managers.push_back(
+                std::make_unique<cache::GenerationalCacheManager>(
+                    cache::GenerationalConfig::fromProportions(
+                        3 * kKiB, 0.40, 0.30, 1)));
+        }
+        const std::size_t shapes = managers.size() / 2;
+        for (std::size_t i = 0; i < shapes; ++i) {
+            sim::CacheSimulator reference(*managers[i]);
+            sim::BatchedReplay blocked(compiled);
+            blocked.addLane(*managers[shapes + i]);
+            expectIdentical(reference.run(log), blocked.run().front(),
+                            std::string(name) + " " +
+                                managers[i]->name());
         }
     }
 }

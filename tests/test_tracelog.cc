@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <string>
 
 #include "tracelog/compiled_log.h"
 #include "tracelog/event.h"
@@ -136,6 +138,79 @@ TEST(Serialize, FileRoundTripBothFormats)
         EXPECT_EQ(loaded.benchmark(), original.benchmark()) << name;
         std::remove(name);
     }
+}
+
+/** Write a text journal of @p events (@p count of them) to a file
+ *  private to this process and return its path. */
+std::string
+writeJournal(const std::string &events, std::size_t count)
+{
+    std::string path = ::testing::TempDir() + "gencache_journal_" +
+                       std::to_string(getpid()) + ".gclog";
+    std::FILE *file = std::fopen(path.c_str(), "w");
+    EXPECT_NE(file, nullptr) << path;
+    std::fprintf(file,
+                 "gclog 1\nbenchmark journal\nduration_us 10\n"
+                 "footprint_bytes 64\nevents %zu\n%s",
+                 count, events.c_str());
+    std::fclose(file);
+    return path;
+}
+
+TEST(Serialize, TryLoadLogRejectsBrokenEventSemantics)
+{
+    // Journals are user input: events that break the log's rules are
+    // a load failure naming the culprit, not a panic in whatever
+    // replays the log next.
+    struct Case
+    {
+        const char *name;
+        const char *events;
+        std::size_t count;
+        const char *culprit;
+    };
+    const Case broken[] = {
+        {"exec before create",
+         "load 0 0 0 1\nexec 5 42 0 0\ncreate 6 42 64 1\n", 3,
+         "trace 42"},
+        {"duplicate create",
+         "load 0 0 0 1\ncreate 1 42 64 1\ncreate 2 42 64 1\n", 3,
+         "trace 42"},
+        {"unload of a module never loaded",
+         "load 0 0 0 1\nunload 3 0 0 7\n", 2, "module 7"},
+        {"time running backwards", "load 5 0 0 1\nload 4 0 0 2\n", 2,
+         "earlier"},
+    };
+    for (const Case &c : broken) {
+        std::string path = writeJournal(c.events, c.count);
+        AccessLog log;
+        std::string error;
+        EXPECT_FALSE(tryLoadLog(path, log, error)) << c.name;
+        EXPECT_NE(error.find(c.culprit), std::string::npos)
+            << c.name << ": " << error;
+        std::remove(path.c_str());
+    }
+
+    // A module reload re-creates its traces under the same ids.
+    std::string path = writeJournal(
+        "load 0 0 0 1\ncreate 1 42 64 1\nexec 2 42 0 0\n"
+        "unload 3 0 0 1\nload 4 0 0 1\ncreate 5 42 64 1\n"
+        "exec 6 42 0 0\n",
+        7);
+    AccessLog log;
+    std::string error;
+    EXPECT_TRUE(tryLoadLog(path, log, error)) << error;
+    EXPECT_EQ(log.size(), 7u);
+    std::remove(path.c_str());
+}
+
+TEST(SerializeDeath, LoadLogRejectsBrokenEventSemantics)
+{
+    std::string path = writeJournal(
+        "load 0 0 0 1\nexec 5 42 0 0\ncreate 6 42 64 1\n", 3);
+    EXPECT_EXIT(loadLog(path), ::testing::ExitedWithCode(1),
+                "trace 42 used before creation");
+    std::remove(path.c_str());
 }
 
 TEST(SerializeDeath, MissingFileIsFatal)

@@ -23,7 +23,6 @@
  * compiled form.
  */
 
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -36,6 +35,7 @@
 #include "sim/experiment.h"
 #include "sim/simulator.h"
 #include "support/format.h"
+#include "support/rng.h"
 #include "tracelog/lifetime.h"
 #include "tracelog/serialize.h"
 #include "workload/generator.h"
@@ -58,20 +58,6 @@ usage()
                  "  --format v1|v2  binary version for generate/live"
                  " (default v2)\n");
     return 2;
-}
-
-/** Parse all of @p text as a decimal seed; a sign, a blank or a
- *  value past 2^64 - 1 is rejected. */
-bool
-parseSeed(const std::string &text, std::uint64_t &seed)
-{
-    if (text.empty() || text[0] < '0' || text[0] > '9') {
-        return false;
-    }
-    char *end = nullptr;
-    errno = 0;
-    seed = std::strtoull(text.c_str(), &end, 10);
-    return *end == '\0' && errno != ERANGE;
 }
 
 /** Parse all of @p text as a capacity in KB: finite, > 0, and at

@@ -11,10 +11,10 @@
 #   4. AddressSanitizer+UBSan build: first the `replay`-, `frontend`-
 #      and `tiers`-labelled bit-identity tests (the blocked replay
 #      kernel vs the per-event CacheSimulator reference, the live
-#      runtime's logs and stats vs their committed digests,
-#      tier-pipeline adapters vs the frozen pre-refactor managers —
-#      the memory-unsafe-optimization tripwires), then the rest of
-#      the suite
+#      runtime's logs and stats vs their committed digests, the
+#      tier-pipeline adapters vs their committed digests — the
+#      memory-unsafe-optimization tripwires), then the rest of the
+#      suite
 #   5. smoke policy tournament (2 profiles x ~28 configurations) —
 #      the sharded multi-config replay driver end-to-end, run in the
 #      plain build and (unless --fast) again under ASan+UBSan; the
@@ -26,9 +26,10 @@
 #      metric must print with its unit, and a corrupted golden digest
 #      must be caught
 #   7. GENCACHE_SIMD=OFF build: the scalar-only fallback must build
-#      and pass every `replay`-labelled bit-identity test (selected by
-#      label, so a renamed test is not silently dropped) plus the
-#      SIMD-kernel and CompiledLog tests
+#      and pass every `replay`- and `tiers`-labelled bit-identity test
+#      (selected by label, so a renamed test is not silently dropped;
+#      the `tiers` tests hold the scalar build to the same committed
+#      digests) plus the SIMD-kernel and CompiledLog tests
 #   8. gencheck over the example workloads — topology lints, live
 #      runs, per-event sim replays, and batched-replay end states; any
 #      diagnostic of severity error (or worse) fails the pipeline
@@ -110,11 +111,12 @@ fi
 step "repository benchmark smoke test (plain build)"
 python3 perfbench/smoke_test.py
 
-step "GENCACHE_SIMD=OFF scalar-fallback build + replay/simd tests"
+step "GENCACHE_SIMD=OFF scalar-fallback build + replay/tiers/simd tests"
 cmake -B build-nosimd -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DGENCACHE_SIMD=OFF >/tmp/gencache-nosimd-configure.log
 cmake --build build-nosimd -j "$jobs"
-ctest --test-dir build-nosimd --output-on-failure -L replay -j "$jobs"
+ctest --test-dir build-nosimd --output-on-failure -L "replay|tiers" \
+    -j "$jobs"
 ctest --test-dir build-nosimd --output-on-failure \
     -R "Simd|CompiledLog" -j "$jobs"
 

@@ -9,6 +9,12 @@
  * then calls insert(). Every cache transition is reported to an
  * optional CacheEventListener, which is how the cost model observes
  * evictions and promotions without coupling the cache code to it.
+ *
+ * TierPipeline (codecache/tier_pipeline.h) is the one implementation;
+ * the generational and unified managers are configurations of it. The
+ * runtime, the per-event CacheSimulator and the analysis passes hold
+ * this interface, while the blocked replay kernel holds TierPipeline
+ * lanes directly.
  */
 
 #ifndef GENCACHE_CODECACHE_CACHE_MANAGER_H
@@ -236,18 +242,6 @@ class CacheManager
 
     /** @return true when @p id is resident in any cache. */
     virtual bool contains(TraceId id) const = 0;
-
-    /**
-     * Declare that every trace id this manager will see lies in
-     * [0, @p id_bound) — the contract of a tracelog::CompiledLog
-     * replay. Managers that can switch their residency index to dense
-     * storage do so here; must be called before the first insert.
-     * Default: no-op (sparse ids keep working everywhere).
-     */
-    virtual void prepareDenseIds(std::uint64_t id_bound)
-    {
-        (void)id_bound;
-    }
 
     /** Sum of all local cache capacities in bytes. */
     virtual std::uint64_t totalCapacity() const = 0;

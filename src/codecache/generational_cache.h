@@ -15,9 +15,10 @@
  * maps a GenerationalConfig onto a 3-tier TierPipeline with an
  * always-promote edge (nursery -> probation) and a threshold edge
  * (probation -> persistent). Figure 8's cascade, the residency index,
- * and all event emission live in TierPipeline; stats and event
- * streams are bit-identical to the pre-pipeline monolith
- * (tests/test_tier_pipeline.cc).
+ * and all event emission live in TierPipeline. Stats and event
+ * streams are pinned by the committed digests of
+ * tests/test_tier_pipeline.cc, which the pre-pipeline monolith
+ * reproduced when they were recorded.
  *
  * §5.3's eager variant — reaching the threshold on a probation *hit*
  * immediately triggers the upgrade — is the threshold edge's eager

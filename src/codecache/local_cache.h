@@ -80,8 +80,8 @@ class LocalCache
      *  managers can skip the virtual call on hit for the others. */
     bool observesTouch() const { return observesTouch_; }
 
-    /** Dense-id declaration forwarded by the global manager (see
-     *  CacheManager::prepareDenseIds). Default: no-op. */
+    /** Dense-id declaration forwarded by the pipeline (see
+     *  TierPipeline::prepareDenseIds). Default: no-op. */
     virtual void reserveDenseIds(std::uint64_t id_bound)
     {
         (void)id_bound;

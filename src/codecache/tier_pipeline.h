@@ -17,9 +17,10 @@
  * Figure 8's victim cascade, the TraceIndex residency map, dense-id
  * preparation, module invalidation, pinning, and CacheEventListener
  * emission all live here, once. GenerationalCacheManager and
- * UnifiedCacheManager are thin config-to-pipeline adapters whose stats
- * and event streams are bit-identical to the pre-pipeline monoliths
- * (tests/test_tier_pipeline.cc holds frozen copies to prove it).
+ * UnifiedCacheManager are thin config-to-pipeline adapters; their
+ * stats and event streams are pinned by digests in
+ * tests/test_tier_pipeline.cc, recorded while the pre-pipeline
+ * monoliths still ran beside them and agreed.
  *
  * Tier labels keep the paper's vocabulary: a single tier is Unified,
  * the first tier of a multi-tier pipeline is the Nursery and the last
@@ -252,8 +253,8 @@ class TierPipeline : public CacheManager
     explicit TierPipeline(TierPipelineInit init);
 
     // The hot entry points are final: the adapters below never
-    // override them, and sealing lets the batched-replay fast path
-    // devirtualize once it knows it holds a TierPipeline.
+    // override them, and sealing lets the batched-replay kernel,
+    // whose lanes are TierPipelines, devirtualize them.
     std::string name() const override { return name_; }
     bool lookup(TraceId id, TimeUs now) final;
     bool insert(TraceId id, std::uint32_t size_bytes, ModuleId module,
@@ -263,7 +264,11 @@ class TierPipeline : public CacheManager
     bool contains(TraceId id) const final;
     std::uint64_t totalCapacity() const final;
     std::uint64_t usedBytes() const final;
-    void prepareDenseIds(std::uint64_t id_bound) final;
+
+    /** Declare that every trace id lies in [0, @p id_bound) (a
+     *  CompiledLog replay) and switch every index to dense storage.
+     *  Call before the first insert; sparse ids work without it. */
+    void prepareDenseIds(std::uint64_t id_bound);
 
     // --- introspection (analysis passes, tests, tools) ---
 

@@ -15,7 +15,7 @@
  *
  * Switching to dense storage (reserveDense) is only legal while the
  * index is empty: callers opt in through
- * CacheManager::prepareDenseIds before the first insert. The index is
+ * TierPipeline::prepareDenseIds before the first insert. The index is
  * never iterated on any behavioural path (only validate()/analysis
  * walk it), so the backing cannot change results — only speed.
  */

@@ -4,8 +4,9 @@
  * comparison baseline, sized at half the benchmark's maximum cache).
  *
  * Since the tier-pipeline refactor this is a single-tier TierPipeline
- * adapter; stats and event streams are bit-identical to the
- * pre-pipeline implementation (tests/test_tier_pipeline.cc).
+ * adapter. Stats and event streams are pinned by the committed digests
+ * of tests/test_tier_pipeline.cc, which the pre-pipeline
+ * implementation reproduced when they were recorded.
  */
 
 #ifndef GENCACHE_CODECACHE_UNIFIED_CACHE_H

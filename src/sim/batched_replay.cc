@@ -15,15 +15,26 @@ BatchedReplay::BatchedReplay(const tracelog::CompiledLog &log)
 BatchedReplay::~BatchedReplay() = default;
 
 std::size_t
-BatchedReplay::addLane(cache::CacheManager &manager)
+BatchedReplay::addLane(cache::TierPipeline &pipeline)
 {
+    if (begun_) {
+        GENCACHE_PANIC("addLane() after begin()");
+    }
     Lane lane;
-    lane.manager = &manager;
-    lane.pipeline = dynamic_cast<cache::TierPipeline *>(&manager);
+    lane.pipeline = &pipeline;
     lane.result.benchmark = log_.benchmark();
-    lane.result.manager = manager.name();
+    lane.result.manager = pipeline.name();
     lanes_.push_back(std::move(lane));
     return lanes_.size() - 1;
+}
+
+void
+BatchedReplay::setCostTables(const CostTables *tables)
+{
+    if (begun_) {
+        GENCACHE_PANIC("setCostTables() after begin()");
+    }
+    sharedTables_ = tables;
 }
 
 std::vector<SimResult>
@@ -47,18 +58,18 @@ BatchedReplay::run()
     return finish();
 }
 
-template <typename ManagerT>
 void
-BatchedReplay::runChunk(Lane &lane, ManagerT &manager,
+BatchedReplay::runChunk(Lane &lane,
                         const tracelog::CompiledLog::Chunk &chunk)
 {
+    cache::TierPipeline &pipeline = *lane.pipeline;
     const TimeUs *times = log_.times().data();
     const tracelog::DenseTraceId *traces = log_.traces().data();
     const std::uint8_t *execPinned = log_.execPinned().data();
     SimResult &result = lane.result;
 
     auto note_peak = [&] {
-        std::uint64_t used = manager.usedBytes();
+        std::uint64_t used = pipeline.usedBytes();
         if (used > result.peakBytes) {
             result.peakBytes = used;
         }
@@ -66,11 +77,11 @@ BatchedReplay::runChunk(Lane &lane, ManagerT &manager,
     auto miss_service = [&](std::size_t i,
                             tracelog::DenseTraceId dense,
                             TimeUs now) {
-        if (manager.insert(dense, log_.traceSize(dense),
-                           log_.traceModule(dense), now)) {
+        if (pipeline.insert(dense, log_.traceSize(dense),
+                            log_.traceModule(dense), now)) {
             ++result.regenerations;
             if (execPinned[i] != 0) {
-                manager.setPinned(dense, true);
+                pipeline.setPinned(dense, true);
             }
         }
         note_peak();
@@ -84,10 +95,10 @@ BatchedReplay::runChunk(Lane &lane, ManagerT &manager,
         const TimeUs now = times[first];
         if (log_.types()[first] ==
             tracelog::EventType::ModuleUnload) {
-            manager.invalidateModule(log_.modules()[first], now);
+            pipeline.invalidateModule(log_.modules()[first], now);
         }
         if (checkpointHook_) {
-            checkpointHook_(*lane.manager, now);
+            checkpointHook_(pipeline, now);
         }
         return;
     }
@@ -99,7 +110,7 @@ BatchedReplay::runChunk(Lane &lane, ManagerT &manager,
         for (std::size_t i = first; i < end; ++i) {
             const tracelog::DenseTraceId dense = traces[i];
             const TimeUs now = times[i];
-            if (!manager.lookup(dense, now)) [[unlikely]] {
+            if (!pipeline.lookup(dense, now)) [[unlikely]] {
                 ++misses;
                 miss_service(i, dense, now);
             }
@@ -120,12 +131,12 @@ BatchedReplay::runChunk(Lane &lane, ManagerT &manager,
           case tracelog::EventType::TraceCreate:
             ++result.createdTraces;
             result.createdBytes += sizes[i];
-            manager.insert(dense, sizes[i], modules[i], now);
+            pipeline.insert(dense, sizes[i], modules[i], now);
             note_peak();
             break;
           case tracelog::EventType::TraceExec:
             ++result.lookups;
-            if (manager.lookup(dense, now)) {
+            if (pipeline.lookup(dense, now)) {
                 ++result.hits;
             } else {
                 ++result.misses;
@@ -133,10 +144,10 @@ BatchedReplay::runChunk(Lane &lane, ManagerT &manager,
             }
             break;
           case tracelog::EventType::Pin:
-            manager.setPinned(dense, true);
+            pipeline.setPinned(dense, true);
             break;
           case tracelog::EventType::Unpin:
-            manager.setPinned(dense, false);
+            pipeline.setPinned(dense, false);
             break;
           case tracelog::EventType::ModuleLoad:
           case tracelog::EventType::ModuleUnload:
@@ -147,9 +158,9 @@ BatchedReplay::runChunk(Lane &lane, ManagerT &manager,
 
 void
 BatchedReplay::runChunkFast(Lane &lane,
-                            cache::TierPipeline &pipeline,
                             const tracelog::CompiledLog::Chunk &chunk)
 {
+    cache::TierPipeline &pipeline = *lane.pipeline;
     if (chunk.barrier) {
         if (checkpointHook_) {
             // The hook may inspect fragments; fold the pending hit
@@ -158,7 +169,7 @@ BatchedReplay::runChunkFast(Lane &lane,
             // without a hook no flush is needed.)
             pipeline.flushFastCounts();
         }
-        runChunk(lane, pipeline, chunk);
+        runChunk(lane, chunk);
         return;
     }
 
@@ -260,11 +271,9 @@ BatchedReplay::replayChunk(Lane &lane,
                            const tracelog::CompiledLog::Chunk &chunk)
 {
     if (lane.fast) {
-        runChunkFast(lane, *lane.pipeline, chunk);
-    } else if (lane.pipeline != nullptr) {
-        runChunk(lane, *lane.pipeline, chunk);
+        runChunkFast(lane, chunk);
     } else {
-        runChunk(lane, *lane.manager, chunk);
+        runChunk(lane, chunk);
     }
 }
 
@@ -282,12 +291,10 @@ BatchedReplay::begin()
         tables = &*ownedTables_;
     }
     for (Lane &lane : lanes_) {
-        lane.manager->prepareDenseIds(log_.traceCount());
+        lane.pipeline->prepareDenseIds(log_.traceCount());
         lane.account = std::make_unique<TableOverheadListener>(*tables);
-        lane.manager->setListener(lane.account.get());
-        lane.fast =
-            lane.pipeline != nullptr &&
-            lane.pipeline->enableFastReplay(log_.traceCount());
+        lane.pipeline->setListener(lane.account.get());
+        lane.fast = lane.pipeline->enableFastReplay(log_.traceCount());
     }
 }
 
@@ -333,9 +340,9 @@ BatchedReplay::finish()
     results.reserve(lanes_.size());
     for (Lane &lane : lanes_) {
         if (checkpointHook_) {
-            checkpointHook_(*lane.manager, log_.duration());
+            checkpointHook_(*lane.pipeline, log_.duration());
         }
-        lane.result.managerStats = lane.manager->stats();
+        lane.result.managerStats = lane.pipeline->stats();
         lane.result.overhead = lane.account->breakdown();
         results.push_back(lane.result);
     }

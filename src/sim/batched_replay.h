@@ -17,11 +17,11 @@
  * tallied per chunk, pin intent comes from the precomputed
  * execPinned() column instead of shared mutable state, and Table 2
  * costs come from precomputed per-trace CostTables instead of
- * per-event pow()/llround() evaluations. Lanes whose manager is a
- * cache::TierPipeline (all catalog topologies and both legacy
- * adapters) run through a statically typed fast path whose hot calls
- * devirtualize against the pipeline's final methods; any other
- * manager runs the same chunk loop over the virtual interface.
+ * per-event pow()/llround() evaluations. Every lane is a
+ * cache::TierPipeline (a catalog topology or one of the generational
+ * and unified adapters), so the hot calls devirtualize against the
+ * pipeline's final methods; lanes whose pipeline accepts
+ * enableFastReplay() serve their hits from its dense sidecar.
  *
  * Results are bit-identical to running the per-event
  * CacheSimulator::run(AccessLog) once per lane (pinned by
@@ -33,8 +33,9 @@
  * lane at the same module events; a lane block finishes its hooks
  * before the next block starts.
  *
- * Each lane owns its manager, its table-priced cost accounting
- * (installed as the manager's listener), and its SimResult.
+ * Each lane drives one caller-owned pipeline and owns its
+ * table-priced cost accounting (installed as the pipeline's listener)
+ * and its SimResult.
  */
 
 #ifndef GENCACHE_SIM_BATCHED_REPLAY_H
@@ -70,13 +71,14 @@ class BatchedReplay
     ~BatchedReplay();
 
     /**
-     * Register @p manager as a replay lane and return its lane index.
+     * Register @p pipeline as a replay lane and return its lane index.
      * When the replay begins it installs the lane's table-priced cost
-     * accounting as the manager's event listener. Managers must be
+     * accounting as the pipeline's event listener. Pipelines must be
      * freshly constructed: the replay switches their residency
-     * indexes to dense storage via prepareDenseIds().
+     * indexes to dense storage via prepareDenseIds(). Panics once the
+     * replay has begun.
      */
-    std::size_t addLane(cache::CacheManager &manager);
+    std::size_t addLane(cache::TierPipeline &pipeline);
 
     /**
      * Install @p hook to run per lane at replay phase boundaries
@@ -95,11 +97,9 @@ class BatchedReplay
      * stateless, so one table set serves every lane). Without this,
      * the replay builds a private set; sharing matters when many
      * replays stream the same profile (sweeps, the tournament).
+     * Panics once the replay has begun (begin() reads the tables).
      */
-    void setCostTables(const CostTables *tables)
-    {
-        sharedTables_ = tables;
-    }
+    void setCostTables(const CostTables *tables);
 
     /**
      * Stream the log once, advancing all lanes. Returns one SimResult
@@ -134,8 +134,7 @@ class BatchedReplay
   private:
     struct Lane
     {
-        cache::CacheManager *manager = nullptr;
-        cache::TierPipeline *pipeline = nullptr; ///< fast-path alias
+        cache::TierPipeline *pipeline = nullptr;
         bool fast = false; ///< pipeline accepted enableFastReplay()
         std::unique_ptr<TableOverheadListener> account;
         SimResult result;
@@ -145,14 +144,12 @@ class BatchedReplay
     void replayChunk(Lane &lane,
                      const tracelog::CompiledLog::Chunk &chunk);
 
-    template <typename ManagerT>
-    void runChunk(Lane &lane, ManagerT &manager,
-                  const tracelog::CompiledLog::Chunk &chunk);
+    void runChunk(Lane &lane, const tracelog::CompiledLog::Chunk &chunk);
 
     /** Chunk replay through the pipeline's dense hit-slot sidecar
-     *  (single cache line per hit, no virtual dispatch); mixed and
-     *  barrier chunks delegate to runChunk. */
-    void runChunkFast(Lane &lane, cache::TierPipeline &pipeline,
+     *  (single cache line per hit); barrier chunks delegate to
+     *  runChunk. */
+    void runChunkFast(Lane &lane,
                       const tracelog::CompiledLog::Chunk &chunk);
 
     const tracelog::CompiledLog &log_;

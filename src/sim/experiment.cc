@@ -67,15 +67,15 @@ managedCapacityBytes(std::uint64_t peak_bytes, double factor)
 
 namespace {
 
-/** Replay @p runner's compiled log against @p manager alone: a
+/** Replay @p runner's compiled log against @p pipeline alone: a
  *  one-lane blocked pass sharing the runner's cost tables. */
 SimResult
 replayOneLane(const ExperimentRunner &runner,
-              cache::CacheManager &manager)
+              cache::TierPipeline &pipeline)
 {
     BatchedReplay replay(runner.compiled());
     replay.setCostTables(&runner.costTables());
-    replay.addLane(manager);
+    replay.addLane(pipeline);
     return replay.run().front();
 }
 

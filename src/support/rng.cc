@@ -1,6 +1,8 @@
 #include "support/rng.h"
 
+#include <cerrno>
 #include <cmath>
+#include <cstdlib>
 
 #include "support/logging.h"
 
@@ -14,6 +16,20 @@ splitmix64(std::uint64_t &state)
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
+}
+
+bool
+parseSeed(const std::string &text, std::uint64_t &seed)
+{
+    // strtoull itself would skip blanks, accept a sign, and wrap a
+    // negative value, so the first character must be a digit.
+    if (text.empty() || text[0] < '0' || text[0] > '9') {
+        return false;
+    }
+    char *end = nullptr;
+    errno = 0;
+    seed = std::strtoull(text.c_str(), &end, 10);
+    return *end == '\0' && errno != ERANGE;
 }
 
 namespace {

@@ -14,12 +14,18 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace gencache {
 
 /** splitmix64 step: used for seeding and for cheap hash mixing. */
 std::uint64_t splitmix64(std::uint64_t &state);
+
+/** Parse all of @p text as a decimal seed. @return false for an
+ *  empty string, a sign, a blank, any other non-digit, or a value
+ *  past 2^64 - 1 (the command-line tools' usage errors). */
+bool parseSeed(const std::string &text, std::uint64_t &seed);
 
 /**
  * xoshiro256** pseudo random generator with explicit state.

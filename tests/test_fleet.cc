@@ -23,6 +23,7 @@
 #include "codecache/tier_pipeline.h"
 #include "sim/batched_replay.h"
 #include "sim/fleet.h"
+#include "sim_identity.h"
 #include "tracelog/compiled_log.h"
 #include "workload/generator.h"
 
@@ -30,6 +31,7 @@ namespace {
 
 using namespace gencache;
 using cache::SharedCodeStore;
+using identity::expectIdentical;
 
 workload::FleetWorkloadConfig
 smallFleet(unsigned storms, std::uint64_t seed,
@@ -77,45 +79,6 @@ residencyFingerprint(const cache::TierPipeline &pipeline)
     return out;
 }
 
-void
-expectSameSim(const sim::SimResult &fleet, const sim::SimResult &solo)
-{
-    EXPECT_EQ(fleet.lookups, solo.lookups);
-    EXPECT_EQ(fleet.hits, solo.hits);
-    EXPECT_EQ(fleet.misses, solo.misses);
-    EXPECT_EQ(fleet.regenerations, solo.regenerations);
-    EXPECT_EQ(fleet.peakBytes, solo.peakBytes);
-    EXPECT_EQ(fleet.createdTraces, solo.createdTraces);
-    EXPECT_EQ(fleet.createdBytes, solo.createdBytes);
-
-    const cache::ManagerStats &a = fleet.managerStats;
-    const cache::ManagerStats &b = solo.managerStats;
-    EXPECT_EQ(a.lookups, b.lookups);
-    EXPECT_EQ(a.hits, b.hits);
-    EXPECT_EQ(a.misses, b.misses);
-    EXPECT_EQ(a.inserts, b.inserts);
-    EXPECT_EQ(a.insertedBytes, b.insertedBytes);
-    EXPECT_EQ(a.deletions, b.deletions);
-    EXPECT_EQ(a.deletedBytes, b.deletedBytes);
-    EXPECT_EQ(a.unmapDeletions, b.unmapDeletions);
-    EXPECT_EQ(a.unmapDeletedBytes, b.unmapDeletedBytes);
-    EXPECT_EQ(a.promotions, b.promotions);
-    EXPECT_EQ(a.promotedBytes, b.promotedBytes);
-    EXPECT_EQ(a.probationRejections, b.probationRejections);
-    EXPECT_EQ(a.placementFailures, b.placementFailures);
-
-    // The overhead breakdown aggregates a cost per cache EVENT, so
-    // equality here means the two replays emitted equivalent event
-    // streams, not just matching end counters.
-    EXPECT_EQ(fleet.overhead.traceGeneration,
-              solo.overhead.traceGeneration);
-    EXPECT_EQ(fleet.overhead.contextSwitches,
-              solo.overhead.contextSwitches);
-    EXPECT_EQ(fleet.overhead.evictions, solo.overhead.evictions);
-    EXPECT_EQ(fleet.overhead.promotions, solo.overhead.promotions);
-    EXPECT_EQ(fleet.overhead.copies, solo.overhead.copies);
-}
-
 TEST(FleetSharingOff, BitIdenticalToIndependentReplays)
 {
     // Two fleets x eight per-process logs = sixteen distinct
@@ -148,7 +111,8 @@ TEST(FleetSharingOff, BitIdenticalToIndependentReplays)
 
             SCOPED_TRACE("process " + std::to_string(p) +
                          " storms " + std::to_string(storms));
-            expectSameSim(result.processes[p].sim, solo_results[0]);
+            expectIdentical(result.processes[p].sim, solo_results[0],
+                            "fleet vs solo replay");
             EXPECT_EQ(residencyFingerprint(fleet.pipeline(
                           static_cast<unsigned>(p))),
                       residencyFingerprint(*solo));
@@ -175,7 +139,8 @@ TEST(FleetSharingOn, RoundRobinIsDeterministic)
     ASSERT_EQ(a.processes.size(), b.processes.size());
     for (std::size_t p = 0; p < a.processes.size(); ++p) {
         SCOPED_TRACE("process " + std::to_string(p));
-        expectSameSim(a.processes[p].sim, b.processes[p].sim);
+        expectIdentical(a.processes[p].sim, b.processes[p].sim,
+                        "first vs second run");
         EXPECT_EQ(a.processes[p].sharedTier.probes,
                   b.processes[p].sharedTier.probes);
         EXPECT_EQ(a.processes[p].sharedTier.hits,

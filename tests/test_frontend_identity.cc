@@ -36,6 +36,7 @@
 #include "guest/address_space.h"
 #include "guest/synthetic_program.h"
 #include "runtime/runtime.h"
+#include "sim_identity.h"
 #include "support/units.h"
 #include "tracelog/event.h"
 
@@ -61,29 +62,11 @@ static_assert(sizeof(runtime::RuntimeStats) == 10 * sizeof(std::uint64_t));
 static_assert(sizeof(runtime::BbCacheStats) == 4 * sizeof(std::uint64_t));
 static_assert(sizeof(runtime::LinkerStats) == 3 * sizeof(std::uint64_t));
 
-/** 64-bit FNV-1a over little-endian 64-bit words. */
-class Fnv1a
-{
-  public:
-    void add(std::uint64_t value)
-    {
-        for (int byte = 0; byte < 8; ++byte) {
-            hash_ ^= (value >> (8 * byte)) & 0xffu;
-            hash_ *= 0x100000001b3ULL;
-        }
-    }
-
-    std::uint64_t value() const { return hash_; }
-
-  private:
-    std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
-
 /** Digest of every field of @p run, in declaration order. */
 std::uint64_t
 digestOf(const RunObservation &run)
 {
-    Fnv1a hash;
+    identity::Fnv1a hash;
     for (const tracelog::Event &event : run.events) {
         hash.add(static_cast<std::uint64_t>(event.type));
         hash.add(event.time);

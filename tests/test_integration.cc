@@ -16,6 +16,7 @@
 #include "runtime/runtime.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
+#include "sim_identity.h"
 #include "tracelog/lifetime.h"
 #include "tracelog/serialize.h"
 #include "workload/generator.h"
@@ -85,9 +86,7 @@ TEST(Integration, LiveLogSurvivesSerializationRoundTrip)
     sim::CacheSimulator sim_b(replay_b);
     sim::SimResult result_b = sim_b.run(loaded);
 
-    EXPECT_EQ(result_a.misses, result_b.misses);
-    EXPECT_EQ(result_a.lookups, result_b.lookups);
-    EXPECT_EQ(result_a.overhead.total(), result_b.overhead.total());
+    identity::expectIdentical(result_a, result_b, "round trip");
 }
 
 TEST(Integration, GenerationalBeatsUnifiedOnGeneratedWorkload)

@@ -15,6 +15,7 @@
 #include "codecache/tier_pipeline.h"
 #include "sim/experiment.h"
 #include "sim/sweep.h"
+#include "sim_identity.h"
 #include "support/thread_pool.h"
 
 namespace gencache::sim {
@@ -126,22 +127,11 @@ TEST(ParallelSweep, CompareWithPoolMatchesSerial)
 
     EXPECT_EQ(a.maxCacheBytes, b.maxCacheBytes);
     EXPECT_EQ(a.capacityBytes, b.capacityBytes);
-    EXPECT_EQ(a.unified.misses, b.unified.misses);
-    EXPECT_EQ(a.unified.hits, b.unified.hits);
+    identity::expectIdentical(a.unified, b.unified, "unified");
     ASSERT_EQ(a.generational.size(), b.generational.size());
     for (std::size_t i = 0; i < a.generational.size(); ++i) {
-        const SimResult &x = a.generational[i];
-        const SimResult &y = b.generational[i];
-        EXPECT_EQ(x.lookups, y.lookups) << layouts[i].label;
-        EXPECT_EQ(x.hits, y.hits) << layouts[i].label;
-        EXPECT_EQ(x.misses, y.misses) << layouts[i].label;
-        EXPECT_EQ(x.regenerations, y.regenerations)
-            << layouts[i].label;
-        EXPECT_EQ(x.managerStats.promotions,
-                  y.managerStats.promotions)
-            << layouts[i].label;
-        EXPECT_EQ(x.overhead.total(), y.overhead.total())
-            << layouts[i].label;
+        identity::expectIdentical(a.generational[i], b.generational[i],
+                                  layouts[i].label);
     }
 }
 

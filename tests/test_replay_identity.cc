@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "codecache/generational_cache.h"
+#include "codecache/tier_pipeline.h"
 #include "codecache/unified_cache.h"
 #include "guest/address_space.h"
 #include "guest/synthetic_program.h"
@@ -22,6 +23,7 @@
 #include "sim/experiment.h"
 #include "sim/simulator.h"
 #include "sim/sweep.h"
+#include "sim_identity.h"
 #include "support/thread_pool.h"
 #include "support/units.h"
 #include "tracelog/compiled_log.h"
@@ -30,44 +32,7 @@
 namespace {
 
 using namespace gencache;
-
-void
-expectIdentical(const sim::SimResult &a, const sim::SimResult &b,
-                const std::string &what)
-{
-    EXPECT_EQ(a.benchmark, b.benchmark) << what;
-    EXPECT_EQ(a.lookups, b.lookups) << what;
-    EXPECT_EQ(a.hits, b.hits) << what;
-    EXPECT_EQ(a.misses, b.misses) << what;
-    EXPECT_EQ(a.regenerations, b.regenerations) << what;
-    EXPECT_EQ(a.peakBytes, b.peakBytes) << what;
-    EXPECT_EQ(a.createdTraces, b.createdTraces) << what;
-    EXPECT_EQ(a.createdBytes, b.createdBytes) << what;
-
-    const cache::ManagerStats &x = a.managerStats;
-    const cache::ManagerStats &y = b.managerStats;
-    EXPECT_EQ(x.lookups, y.lookups) << what;
-    EXPECT_EQ(x.hits, y.hits) << what;
-    EXPECT_EQ(x.misses, y.misses) << what;
-    EXPECT_EQ(x.inserts, y.inserts) << what;
-    EXPECT_EQ(x.insertedBytes, y.insertedBytes) << what;
-    EXPECT_EQ(x.deletions, y.deletions) << what;
-    EXPECT_EQ(x.deletedBytes, y.deletedBytes) << what;
-    EXPECT_EQ(x.unmapDeletions, y.unmapDeletions) << what;
-    EXPECT_EQ(x.unmapDeletedBytes, y.unmapDeletedBytes) << what;
-    EXPECT_EQ(x.promotions, y.promotions) << what;
-    EXPECT_EQ(x.promotedBytes, y.promotedBytes) << what;
-    EXPECT_EQ(x.probationRejections, y.probationRejections) << what;
-    EXPECT_EQ(x.placementFailures, y.placementFailures) << what;
-
-    EXPECT_EQ(a.overhead.traceGeneration, b.overhead.traceGeneration)
-        << what;
-    EXPECT_EQ(a.overhead.contextSwitches, b.overhead.contextSwitches)
-        << what;
-    EXPECT_EQ(a.overhead.evictions, b.overhead.evictions) << what;
-    EXPECT_EQ(a.overhead.promotions, b.overhead.promotions) << what;
-    EXPECT_EQ(a.overhead.copies, b.overhead.copies) << what;
-}
+using identity::expectIdentical;
 
 std::uint64_t
 managedCapacity(const sim::ExperimentRunner &runner)
@@ -170,10 +135,10 @@ TEST(ReplayIdentity, BlockedKernelMatchesReferenceAcrossLaneCounts)
 // pass, pricing with its own cost tables — against the reference loop.
 sim::SimResult
 replayCompiled(const sim::ExperimentRunner &runner,
-               cache::CacheManager &manager)
+               cache::TierPipeline &pipeline)
 {
     sim::BatchedReplay replay(runner.compiled());
-    replay.addLane(manager);
+    replay.addLane(pipeline);
     return replay.run().front();
 }
 
@@ -387,7 +352,7 @@ TEST(ReplayIdentity, ModuleReloadLogReplays)
             tracelog::CompiledLog::compile(log);
         EXPECT_GT(compiled.traceCount(), 0u) << name;
 
-        std::vector<std::unique_ptr<cache::CacheManager>> managers;
+        std::vector<std::unique_ptr<cache::TierPipeline>> managers;
         for (int copy = 0; copy < 2; ++copy) {
             managers.push_back(
                 std::make_unique<cache::UnifiedCacheManager>(0));
@@ -409,6 +374,33 @@ TEST(ReplayIdentity, ModuleReloadLogReplays)
                                 managers[i]->name());
         }
     }
+}
+
+// Set-up after begin() cannot take effect: a late lane would have no
+// cost accountant for finish() to read, and begin() has already read
+// the cost tables. Both panic instead.
+TEST(BatchedReplayDeath, SetupAfterBeginPanics)
+{
+    using tracelog::Event;
+    tracelog::AccessLog log;
+    log.setBenchmark("setup-after-begin");
+    log.append(Event::moduleLoad(0, 1));
+    log.append(Event::traceCreate(1, 42, 64, 1));
+    log.append(Event::traceExec(2, 42));
+    log.setDuration(2);
+    const tracelog::CompiledLog compiled =
+        tracelog::CompiledLog::compile(log);
+    const sim::CostTables tables =
+        sim::CostTables::build(compiled, cost::CostModel{});
+
+    cache::UnifiedCacheManager first(0);
+    cache::UnifiedCacheManager late(0);
+    sim::BatchedReplay replay(compiled);
+    replay.addLane(first);
+    replay.begin();
+    EXPECT_DEATH(replay.addLane(late), "addLane\\(\\) after begin");
+    EXPECT_DEATH(replay.setCostTables(&tables),
+                 "setCostTables\\(\\) after begin");
 }
 
 } // namespace

@@ -2,14 +2,19 @@
  * @file
  * The tier-pipeline equivalence suite.
  *
- * The refactor's contract is that GenerationalCacheManager and
- * UnifiedCacheManager, now thin adapters over TierPipeline, are
- * bit-identical to the pre-refactor monoliths — same SimResult
- * counters AND the same listener event stream, event for event, field
- * for field. tests/reference_managers.h holds verbatim frozen copies
- * of the old managers; every test here replays the same workload
- * through a frozen reference and its pipeline re-expression and
- * demands equality.
+ * GenerationalCacheManager and UnifiedCacheManager are thin adapters
+ * over TierPipeline, and their contract is that they reproduce the
+ * pre-pipeline monoliths exactly: the same SimResult fields and the
+ * same listener event stream, event for event, field for field. The
+ * tables below commit both as 64-bit FNV-1a digests: per replay
+ * profile, the SimResult digests of three lanes, and the record count
+ * and digest of four listener streams. The rows were recorded while
+ * frozen copies of the monoliths still ran beside the adapters, and
+ * both produced every row; the tests now hold the pipeline to them.
+ *
+ * On a mismatch the failure names the profile or stream and prints
+ * its new row. An intended change to what the pipeline produces is
+ * recorded by pasting the printed rows over the old ones.
  *
  * Also covered: the fromProportions exact-sum guarantee, pin-bit
  * survival across tier moves, the temperature promotion policy, the
@@ -20,9 +25,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
+#include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/checker.h"
@@ -30,11 +36,11 @@
 #include "codecache/list_cache.h"
 #include "codecache/tier_pipeline.h"
 #include "codecache/unified_cache.h"
-#include "reference_managers.h"
 #include "sim/batched_replay.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
 #include "sim/sweep.h"
+#include "sim_identity.h"
 #include "support/units.h"
 #include "workload/generator.h"
 #include "workload/profile.h"
@@ -42,6 +48,7 @@
 namespace {
 
 using namespace gencache;
+using identity::expectIdentical;
 
 std::uint64_t
 profileCapacity(const workload::BenchmarkProfile &profile)
@@ -51,94 +58,9 @@ profileCapacity(const workload::BenchmarkProfile &profile)
     return capacity < 4096 ? 4096 : capacity;
 }
 
-void
-expectIdentical(const sim::SimResult &a, const sim::SimResult &b,
-                const std::string &what)
-{
-    EXPECT_EQ(a.benchmark, b.benchmark) << what;
-    EXPECT_EQ(a.lookups, b.lookups) << what;
-    EXPECT_EQ(a.hits, b.hits) << what;
-    EXPECT_EQ(a.misses, b.misses) << what;
-    EXPECT_EQ(a.regenerations, b.regenerations) << what;
-    EXPECT_EQ(a.peakBytes, b.peakBytes) << what;
-    EXPECT_EQ(a.createdTraces, b.createdTraces) << what;
-    EXPECT_EQ(a.createdBytes, b.createdBytes) << what;
-
-    const cache::ManagerStats &x = a.managerStats;
-    const cache::ManagerStats &y = b.managerStats;
-    EXPECT_EQ(x.lookups, y.lookups) << what;
-    EXPECT_EQ(x.hits, y.hits) << what;
-    EXPECT_EQ(x.misses, y.misses) << what;
-    EXPECT_EQ(x.inserts, y.inserts) << what;
-    EXPECT_EQ(x.insertedBytes, y.insertedBytes) << what;
-    EXPECT_EQ(x.deletions, y.deletions) << what;
-    EXPECT_EQ(x.deletedBytes, y.deletedBytes) << what;
-    EXPECT_EQ(x.unmapDeletions, y.unmapDeletions) << what;
-    EXPECT_EQ(x.unmapDeletedBytes, y.unmapDeletedBytes) << what;
-    EXPECT_EQ(x.promotions, y.promotions) << what;
-    EXPECT_EQ(x.promotedBytes, y.promotedBytes) << what;
-    EXPECT_EQ(x.probationRejections, y.probationRejections) << what;
-    EXPECT_EQ(x.placementFailures, y.placementFailures) << what;
-
-    EXPECT_EQ(a.overhead.traceGeneration, b.overhead.traceGeneration)
-        << what;
-    EXPECT_EQ(a.overhead.contextSwitches, b.overhead.contextSwitches)
-        << what;
-    EXPECT_EQ(a.overhead.evictions, b.overhead.evictions) << what;
-    EXPECT_EQ(a.overhead.promotions, b.overhead.promotions) << what;
-    EXPECT_EQ(a.overhead.copies, b.overhead.copies) << what;
-}
-
-// Every replay profile, one streaming pass: a frozen reference lane
-// and its pipeline re-expression lane must report identical results —
-// generational (plain and eager) and unified alike.
-TEST(TierEquivalence, SimResultsBitIdenticalOnAllProfiles)
-{
-    for (const workload::BenchmarkProfile &profile :
-         workload::allProfiles()) {
-        tracelog::AccessLog log = workload::generateWorkload(profile);
-        tracelog::CompiledLog compiled =
-            tracelog::CompiledLog::compile(log);
-        std::uint64_t capacity = profileCapacity(profile);
-
-        cache::GenerationalConfig plain =
-            cache::GenerationalConfig::fromProportions(
-                capacity, 0.45, 0.10, /*threshold=*/1);
-        cache::GenerationalConfig eager =
-            cache::GenerationalConfig::fromProportions(
-                capacity, 1.0 / 3.0, 1.0 / 3.0, /*threshold=*/2,
-                /*eager=*/true);
-
-        cache::reference::ReferenceGenerationalManager refPlain(plain);
-        cache::GenerationalCacheManager newPlain(plain);
-        cache::reference::ReferenceGenerationalManager refEager(eager);
-        cache::GenerationalCacheManager newEager(eager);
-        cache::reference::ReferenceUnifiedManager refUnified(capacity);
-        cache::UnifiedCacheManager newUnified(capacity);
-
-        sim::BatchedReplay replay(compiled);
-        replay.addLane(refPlain);
-        replay.addLane(newPlain);
-        replay.addLane(refEager);
-        replay.addLane(newEager);
-        replay.addLane(refUnified);
-        replay.addLane(newUnified);
-        std::vector<sim::SimResult> results = replay.run();
-        ASSERT_EQ(results.size(), 6u);
-
-        expectIdentical(results[0], results[1],
-                        profile.name + " generational 45-10-45");
-        expectIdentical(results[2], results[3],
-                        profile.name + " generational eager");
-        expectIdentical(results[4], results[5],
-                        profile.name + " unified");
-        EXPECT_EQ(refPlain.name(), newPlain.name()) << profile.name;
-        EXPECT_EQ(refUnified.name(), newUnified.name()) << profile.name;
-    }
-}
-
 /** Records every listener callback with every field that crosses the
- *  listener interface, for exact stream comparison. */
+ *  listener interface, for the stream digests and the event-order
+ *  tests. */
 class DetailedListener : public cache::CacheEventListener
 {
   public:
@@ -154,15 +76,6 @@ class DetailedListener : public cache::CacheEventListener
         cache::ModuleId module = cache::kNoModule;
         std::uint64_t addr = 0;
         bool pinned = false;
-
-        bool operator==(const Record &o) const
-        {
-            return kind == o.kind && trace == o.trace &&
-                   gen == o.gen && to == o.to && reason == o.reason &&
-                   time == o.time && sizeBytes == o.sizeBytes &&
-                   module == o.module && addr == o.addr &&
-                   pinned == o.pinned;
-        }
     };
 
     void onMiss(cache::TraceId id, TimeUs now) override
@@ -226,112 +139,308 @@ class DetailedListener : public cache::CacheEventListener
     }
 };
 
-/** Minimal deterministic replay driver (mirrors the simulator's
- *  protocol: misses regenerate, pin intent survives regeneration).
- *  Both sides of a comparison run through this same loop. */
-void
-replayWithListener(cache::CacheManager &manager,
-                   const tracelog::AccessLog &log)
+/** Digest of every field of every record in @p records, in order. */
+std::uint64_t
+streamDigest(const std::vector<DetailedListener::Record> &records)
 {
-    struct Known
-    {
-        std::uint32_t sizeBytes = 0;
-        cache::ModuleId module = cache::kNoModule;
-        bool pinnedWanted = false;
-    };
-    std::map<cache::TraceId, Known> known;
+    identity::Fnv1a hash;
+    for (const DetailedListener::Record &r : records) {
+        hash.add(static_cast<unsigned char>(r.kind));
+        hash.add(r.trace);
+        hash.add(static_cast<std::uint64_t>(r.gen));
+        hash.add(static_cast<std::uint64_t>(r.to));
+        hash.add(static_cast<std::uint64_t>(r.reason));
+        hash.add(r.time);
+        hash.add(r.sizeBytes);
+        hash.add(r.module);
+        hash.add(r.addr);
+        hash.add(r.pinned ? 1u : 0u);
+    }
+    return hash.value();
+}
 
-    for (const tracelog::Event &event : log.events()) {
-        switch (event.type) {
-          case tracelog::EventType::TraceCreate:
-            known[event.trace] = {event.sizeBytes, event.module, false};
-            manager.insert(event.trace, event.sizeBytes, event.module,
-                           event.time);
-            break;
-          case tracelog::EventType::TraceExec: {
-            if (manager.lookup(event.trace, event.time)) {
-                break;
-            }
-            auto it = known.find(event.trace);
-            if (it == known.end()) {
-                break;
-            }
-            if (manager.insert(event.trace, it->second.sizeBytes,
-                               it->second.module, event.time) &&
-                it->second.pinnedWanted) {
-                manager.setPinned(event.trace, true);
-            }
-            break;
-          }
-          case tracelog::EventType::ModuleUnload:
-            manager.invalidateModule(event.module, event.time);
-            break;
-          case tracelog::EventType::Pin:
-            known[event.trace].pinnedWanted = true;
-            manager.setPinned(event.trace, true);
-            break;
-          case tracelog::EventType::Unpin:
-            known[event.trace].pinnedWanted = false;
-            manager.setPinned(event.trace, false);
-            break;
-          case tracelog::EventType::ModuleLoad:
-            break;
+std::string
+hexDigest(std::uint64_t digest)
+{
+    char text[24];
+    std::snprintf(text, sizeof(text), "0x%016llx",
+                  static_cast<unsigned long long>(digest));
+    return text;
+}
+
+/** The row of @p table labelled @p label, or nullptr. */
+template <typename Row, std::size_t N>
+const Row *
+findRow(const Row (&table)[N], const std::string &label)
+{
+    for (const Row &row : table) {
+        if (label == row.label) {
+            return &row;
         }
+    }
+    return nullptr;
+}
+
+/** One committed replay profile: the SimResult digests of its three
+ *  lanes at profileCapacity(). */
+struct GoldenProfile
+{
+    const char *label;     ///< the profile name
+    std::uint64_t plain;   ///< generational 45-10-45 thr 1
+    std::uint64_t eager;   ///< generational 33-33-33 thr 2 eager
+    std::uint64_t unified; ///< unified pseudo-circular
+};
+
+const GoldenProfile kGoldenProfiles[] = {
+    {"gzip", 0x2463a7132d686615, 0xc9a8323cc2bf70c5, 0xb284d213625f0887},
+    {"vpr", 0xb4a4e9098a63d837, 0x8d1b6751c8d41eca, 0x23967a1267a877ca},
+    {"gcc", 0xc82deb63f51fb719, 0x417414dd2e5cb2f0, 0x2012f3ea7a8a2749},
+    {"mcf", 0x1d219a09b78a7160, 0xae6ee42765985d0f, 0x7409fb20cc515edb},
+    {"crafty", 0x2fd7e5055d20ab80, 0x17fd8718f32a346b, 0x75c82bfee232a069},
+    {"parser", 0x41ad1e1c7cd707b2, 0x82833fcd04f6db21, 0x86e74197df9cb490},
+    {"eon", 0xa97dfdeb4ce69a34, 0xcec82d92146c7737, 0xd6d00f4f1992118a},
+    {"perlbmk", 0x89d7c0e1fa2afa1e, 0xe0d9437b542b5368,
+     0xa0f4adca67976698},
+    {"gap", 0x8a762c5ad5959124, 0xe4bfc725e0bd0f42, 0x31ef472bb02cd4fd},
+    {"vortex", 0x96c0bd3044322337, 0xd5694f0fc3fc4dda, 0x1abe4b1279f3a19b},
+    {"bzip2", 0x0245b3551751a56f, 0x60fd79f2c1a53424, 0xf9b33e6b6989878a},
+    {"twolf", 0x47122c1f4a30ac13, 0x7da4c1eb2a1d02da, 0x1bd641cb1adf3406},
+    {"wupwise", 0x1f8a5c05bb9b2780, 0x7a9eddc951f9b221,
+     0x912a777b3c9c20ff},
+    {"swim", 0x30b8406fc6176ec9, 0xf3e7b01934c65bb5, 0xbb58c227740299b1},
+    {"mgrid", 0xbbd6133c0c96a9dc, 0x49c0e7c50063f345, 0x951a4bab2b6c04a2},
+    {"applu", 0x84c3e4876885d8af, 0x7c2b6e102afc94f9, 0xde1b48d2d31c7e28},
+    {"mesa", 0x1bee268580eadfef, 0xf7cb0588a69ff262, 0xd5eaba25fca64e2c},
+    {"galgel", 0x19c5eaad6a5e0c68, 0xf07c6e4d5981227f, 0xb6ce5c8937a9bda8},
+    {"art", 0xc33aa6dc27669ed5, 0x29b7fab619e35db2, 0x8e235693eee8a6c2},
+    {"equake", 0x716ccb3c691e304f, 0xa0f8db92063926c1, 0xb517031f1d1016a0},
+    {"facerec", 0x7dcc07e2c221f0f9, 0xa34566ba0f1c21aa,
+     0x143ba5a1a6136d31},
+    {"ammp", 0x01211c77106f4506, 0xa80a71a2975491fb, 0x24067f3aa34a5fea},
+    {"lucas", 0x532e75a9e3fa13f2, 0x6e2ef8e44fb03284, 0xdb1b7ccee6366fc0},
+    {"fma3d", 0x7cee255d4c9e4f8b, 0xc0d2e59c874541f8, 0xc53319e9916bf49a},
+    {"sixtrack", 0x9cf926f23246f862, 0x027cddc18b5355ac,
+     0x30ea0f77562c06ef},
+    {"apsi", 0x381cbc9d05bba3f0, 0xa253d4b3f5ee8f44, 0x67a5ff61b71ba716},
+    {"access", 0xbc7cf0fd237af91d, 0x24128575ffd24a42, 0x281f9420965334d2},
+    {"acroread", 0xbd7903969d1d2bfb, 0xa63dca9c870b7438,
+     0x6a0e3d05c2b684f7},
+    {"defrag", 0xa15e4a7b2ee3ebf2, 0xa2710e5cc0dc3e96, 0xeeff4382d2977ad3},
+    {"excel", 0x7263ad1cfb999cad, 0x628d040989501f23, 0x9c2b03bd5f4e5c3b},
+    {"iexplore", 0xe068411bb5486228, 0x37c7379274fcd5fa,
+     0xa075f3fa315ae328},
+    {"mpeg", 0xb23abfee8b6efaff, 0x238f572e5d65cbda, 0x999cb9feca1c83be},
+    {"outlook", 0xd12ffe7a562c6eab, 0xa1debd41c34287c2,
+     0x9d6b16bff99341b0},
+    {"pinball", 0x371c90d29543d81b, 0x32243dcc97497672,
+     0x9b87bda8d89c3e2d},
+    {"powerpoint", 0x9c22d60188606ca2, 0xffe627612b0a6e06,
+     0x38a9d2d7ecf603f8},
+    {"solitaire", 0xca0b66be2721f7ee, 0x550430e4d2ac84a6,
+     0x4059e6d41754a516},
+    {"winzip", 0x4ee88bd996bbd367, 0xac2ce655f4382e84, 0xb94bf3acdcd14024},
+    {"word", 0x8fa867b0507f5345, 0xeb5b324febc3f6d3, 0xec97be8c09082923},
+};
+
+/** @p digests (plain, eager, unified) as a row of kGoldenProfiles,
+ *  wrapped before the last digest past 75 columns. */
+std::string
+profileRow(const std::string &profile, const std::uint64_t *digests)
+{
+    const std::string head = "    {\"" + profile + "\", " +
+                             hexDigest(digests[0]) + ", " +
+                             hexDigest(digests[1]) + ",";
+    const std::string tail = hexDigest(digests[2]) + "},";
+    return head + (head.size() + 1 + tail.size() > 75 ? "\n     " : " ") +
+           tail;
+}
+
+// Every replay profile, one streaming pass: the generational adapter
+// (plain and eager) and the unified adapter must reproduce the
+// committed digest of every SimResult field and the manager name.
+TEST(TierEquivalence, SimResultsBitIdenticalOnAllProfiles)
+{
+    for (const workload::BenchmarkProfile &profile :
+         workload::allProfiles()) {
+        const tracelog::CompiledLog compiled =
+            tracelog::CompiledLog::compile(
+                workload::generateWorkload(profile));
+        std::uint64_t capacity = profileCapacity(profile);
+
+        cache::GenerationalCacheManager plain(
+            cache::GenerationalConfig::fromProportions(
+                capacity, 0.45, 0.10, /*threshold=*/1));
+        cache::GenerationalCacheManager eager(
+            cache::GenerationalConfig::fromProportions(
+                capacity, 1.0 / 3.0, 1.0 / 3.0, /*threshold=*/2,
+                /*eager=*/true));
+        cache::UnifiedCacheManager unified(capacity);
+
+        sim::BatchedReplay replay(compiled);
+        replay.addLane(plain);
+        replay.addLane(eager);
+        replay.addLane(unified);
+        std::vector<sim::SimResult> results = replay.run();
+        ASSERT_EQ(results.size(), 3u);
+        const std::uint64_t digests[] = {
+            identity::digestOf(results[0]),
+            identity::digestOf(results[1]),
+            identity::digestOf(results[2])};
+
+        const GoldenProfile *golden =
+            findRow(kGoldenProfiles, profile.name);
+        EXPECT_TRUE(golden != nullptr && digests[0] == golden->plain &&
+                    digests[1] == golden->eager &&
+                    digests[2] == golden->unified)
+            << profile.name << " does not match a committed row. If "
+            << "the change is intended, its row in kGoldenProfiles "
+            << "becomes:\n"
+            << profileRow(profile.name, digests);
     }
 }
 
-void
-expectSameStream(const DetailedListener &a, const DetailedListener &b,
-                 const std::string &what)
+/** One committed listener stream: its record count and digest. */
+struct GoldenStream
 {
-    ASSERT_EQ(a.records.size(), b.records.size()) << what;
-    for (std::size_t i = 0; i < a.records.size(); ++i) {
-        const DetailedListener::Record &x = a.records[i];
-        const DetailedListener::Record &y = b.records[i];
-        EXPECT_TRUE(x == y)
-            << what << " diverges at event " << i << ": kind " << x.kind
-            << "/" << y.kind << " trace " << x.trace << "/" << y.trace
-            << " time " << x.time << "/" << y.time;
-        if (!(x == y)) {
-            break;
-        }
-    }
-}
+    const char *label;
+    std::size_t records;
+    std::uint64_t digest;
+};
+
+const GoldenStream kGoldenStreams[] = {
+    {"gzip / 45-10-45 thr 1", 606199, 0x92e8e3bc514cf210},
+    {"gzip / unified", 604810, 0xec069d90933e1702},
+    {"mpeg / 45-10-45 thr 1", 1696336, 0x243c021415554fa8},
+    {"mpeg / unified", 1640492, 0x6a35d5efc8326604},
+};
 
 // The listener event streams — order, reasons, and every fragment
-// field crossing the interface — must match the frozen monoliths
-// event for event.
+// field crossing the interface — captured through the simulator's
+// probe, must match their committed digests.
 TEST(TierEquivalence, EventStreamsBitIdentical)
 {
     for (const char *name : {"gzip", "mpeg"}) {
         workload::BenchmarkProfile profile = workload::findProfile(name);
         tracelog::AccessLog log = workload::generateWorkload(profile);
         std::uint64_t capacity = profileCapacity(profile);
-        cache::GenerationalConfig config =
+        cache::GenerationalCacheManager generational(
             cache::GenerationalConfig::fromProportions(capacity, 0.45,
-                                                       0.10, 1);
+                                                       0.10, 1));
+        cache::UnifiedCacheManager unified(capacity);
 
-        cache::reference::ReferenceGenerationalManager refGen(config);
-        cache::GenerationalCacheManager newGen(config);
-        DetailedListener refGenEvents;
-        DetailedListener newGenEvents;
-        refGen.setListener(&refGenEvents);
-        newGen.setListener(&newGenEvents);
-        replayWithListener(refGen, log);
-        replayWithListener(newGen, log);
-        expectSameStream(refGenEvents, newGenEvents,
-                         std::string(name) + " generational");
+        const std::pair<std::string, cache::CacheManager *> runs[] = {
+            {std::string(name) + " / 45-10-45 thr 1", &generational},
+            {std::string(name) + " / unified", &unified},
+        };
+        for (const auto &[label, manager] : runs) {
+            DetailedListener events;
+            sim::CacheSimulator simulator(*manager);
+            simulator.setProbeListener(&events);
+            simulator.run(log);
 
-        cache::reference::ReferenceUnifiedManager refUni(capacity);
-        cache::UnifiedCacheManager newUni(capacity);
-        DetailedListener refUniEvents;
-        DetailedListener newUniEvents;
-        refUni.setListener(&refUniEvents);
-        newUni.setListener(&newUniEvents);
-        replayWithListener(refUni, log);
-        replayWithListener(newUni, log);
-        expectSameStream(refUniEvents, newUniEvents,
-                         std::string(name) + " unified");
+            const std::size_t records = events.records.size();
+            const std::uint64_t digest = streamDigest(events.records);
+            const GoldenStream *golden = findRow(kGoldenStreams, label);
+            EXPECT_TRUE(golden != nullptr && records == golden->records &&
+                        digest == golden->digest)
+                << label << " does not match a committed row. If the "
+                << "change is intended, its row in kGoldenStreams "
+                << "becomes:\n    {\"" << label << "\", " << records
+                << ", " << hexDigest(digest) << "},";
+        }
+    }
+}
+
+/** @p value with its lowest bit flipped: another value of the enum's
+ *  underlying type. */
+template <typename Enum>
+Enum
+flipped(Enum value)
+{
+    return static_cast<Enum>(static_cast<unsigned>(value) ^ 1u);
+}
+
+TEST(TierEquivalence, DigestCoversEveryComparedField)
+{
+    // The committed rows replace a field-by-field comparison, so
+    // changing any one compared field must change the digest.
+    workload::BenchmarkProfile profile = workload::findProfile("gzip");
+    profile.durationSec *= 0.1;
+    tracelog::AccessLog log = workload::generateWorkload(profile);
+    cache::GenerationalCacheManager manager(
+        cache::GenerationalConfig::fromProportions(
+            profileCapacity(profile), 0.45, 0.10, 1));
+    DetailedListener events;
+    sim::CacheSimulator simulator(manager);
+    simulator.setProbeListener(&events);
+    const sim::SimResult recorded = simulator.run(log);
+    ASSERT_FALSE(events.records.empty());
+
+    sim::SimResult changed = recorded;
+    cache::ManagerStats &stats = changed.managerStats;
+    cost::OverheadBreakdown &overhead = changed.overhead;
+    const std::pair<const char *, std::uint64_t *> counters[] = {
+        {"lookups", &changed.lookups},
+        {"hits", &changed.hits},
+        {"misses", &changed.misses},
+        {"regenerations", &changed.regenerations},
+        {"peakBytes", &changed.peakBytes},
+        {"createdTraces", &changed.createdTraces},
+        {"createdBytes", &changed.createdBytes},
+        {"stats.lookups", &stats.lookups},
+        {"stats.hits", &stats.hits},
+        {"stats.misses", &stats.misses},
+        {"stats.inserts", &stats.inserts},
+        {"stats.insertedBytes", &stats.insertedBytes},
+        {"stats.deletions", &stats.deletions},
+        {"stats.deletedBytes", &stats.deletedBytes},
+        {"stats.unmapDeletions", &stats.unmapDeletions},
+        {"stats.unmapDeletedBytes", &stats.unmapDeletedBytes},
+        {"stats.promotions", &stats.promotions},
+        {"stats.promotedBytes", &stats.promotedBytes},
+        {"stats.probationRejections", &stats.probationRejections},
+        {"stats.placementFailures", &stats.placementFailures},
+        {"overhead.traceGeneration", &overhead.traceGeneration},
+        {"overhead.contextSwitches", &overhead.contextSwitches},
+        {"overhead.evictions", &overhead.evictions},
+        {"overhead.promotions", &overhead.promotions},
+        {"overhead.copies", &overhead.copies},
+    };
+    const std::uint64_t digest = identity::digestOf(recorded);
+    for (const auto &[field, value] : counters) {
+        ++*value;
+        EXPECT_NE(identity::digestOf(changed), digest) << field;
+        --*value;
+    }
+    for (std::string *name : {&changed.benchmark, &changed.manager}) {
+        *name += '+';
+        EXPECT_NE(identity::digestOf(changed), digest) << *name;
+        name->pop_back();
+    }
+    EXPECT_EQ(identity::digestOf(changed), digest);
+
+    using Record = DetailedListener::Record;
+    using Mutation = std::pair<const char *, void (*)(Record &)>;
+    const Mutation mutations[] = {
+        {"kind", [](Record &r) { r.kind = r.kind == 'h' ? 'm' : 'h'; }},
+        {"trace", [](Record &r) { ++r.trace; }},
+        {"gen", [](Record &r) { r.gen = flipped(r.gen); }},
+        {"to", [](Record &r) { r.to = flipped(r.to); }},
+        {"reason", [](Record &r) { r.reason = flipped(r.reason); }},
+        {"time", [](Record &r) { ++r.time; }},
+        {"sizeBytes", [](Record &r) { ++r.sizeBytes; }},
+        {"module", [](Record &r) { ++r.module; }},
+        {"addr", [](Record &r) { ++r.addr; }},
+        {"pinned", [](Record &r) { r.pinned = !r.pinned; }},
+    };
+    std::vector<Record> records = events.records;
+    const std::uint64_t recordsDigest = streamDigest(records);
+    Record &middle = records[records.size() / 2];
+    const Record saved = middle;
+    for (const auto &[field, mutate] : mutations) {
+        mutate(middle);
+        EXPECT_NE(streamDigest(records), recordsDigest) << field;
+        middle = saved;
     }
 }
 

@@ -59,13 +59,13 @@
  * selects topologies from the named catalog (default: all of them).
  * --journal switches to offline journal checking (the live/sim
  * subjects are skipped). --seed varies the synthetic guest program of
- * the live subjects. --list-checks dumps the full check-ID registry
+ * the live subjects; it must be a whole decimal number below 2^64
+ * (no sign or blanks). --list-checks dumps the full check-ID registry
  * as JSON and exits. --explain-fast-path explains hot-slot fast-path
  * eligibility of the selected topologies and exits.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -87,6 +87,7 @@
 #include "tracelog/compiled_log.h"
 #include "tracelog/serialize.h"
 #include "support/format.h"
+#include "support/rng.h"
 #include "support/units.h"
 #include "workload/generator.h"
 #include "workload/profile.h"
@@ -416,12 +417,10 @@ main(int argc, char **argv)
             explain_fast_path = true;
         } else if (arg == "--seed" && i + 1 < argc) {
             const char *text = argv[++i];
-            char *end = nullptr;
-            seed = std::strtoull(text, &end, 10);
-            if (end == text || *end != '\0') {
+            if (!parseSeed(text, seed)) {
                 std::fprintf(stderr,
-                             "gencheck: --seed wants a number, got "
-                             "'%s'\n",
+                             "gencheck: --seed wants a whole decimal "
+                             "number, got '%s'\n",
                              text);
                 usage(argv[0]);
                 return 2;

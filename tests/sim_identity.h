@@ -1,8 +1,9 @@
 /**
  * @file
- * Identity helpers shared by the replay, tier, fleet and front-end
- * tests: the one field-by-field SimResult comparator, and the 64-bit
- * FNV-1a digest the committed golden tables are written in.
+ * Identity helpers shared by the replay, tier, fleet, front-end and
+ * workload tests: the one field-by-field SimResult comparator, the
+ * 64-bit FNV-1a digest the committed golden tables are written in,
+ * and the lookup and printing of those tables' rows.
  *
  * Both walk one field list, numericFields(). A digest stands in for a
  * field-by-field comparison against an implementation that no longer
@@ -17,6 +18,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <utility>
 
@@ -131,6 +133,29 @@ digestOf(const sim::SimResult &result)
         hash.add(field.second);
     }
     return hash.value();
+}
+
+/** @p digest as a table literal, "0x" and 16 hex digits. */
+inline std::string
+hexDigest(std::uint64_t digest)
+{
+    char text[24];
+    std::snprintf(text, sizeof(text), "0x%016llx",
+                  static_cast<unsigned long long>(digest));
+    return text;
+}
+
+/** The row of @p table labelled @p label, or nullptr. */
+template <typename Row, std::size_t N>
+const Row *
+findRow(const Row (&table)[N], const std::string &label)
+{
+    for (const Row &row : table) {
+        if (label == row.label) {
+            return &row;
+        }
+    }
+    return nullptr;
 }
 
 } // namespace gencache::identity

@@ -25,7 +25,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <utility>
@@ -49,6 +48,8 @@ namespace {
 
 using namespace gencache;
 using identity::expectIdentical;
+using identity::findRow;
+using identity::hexDigest;
 
 std::uint64_t
 profileCapacity(const workload::BenchmarkProfile &profile)
@@ -157,28 +158,6 @@ streamDigest(const std::vector<DetailedListener::Record> &records)
         hash.add(r.pinned ? 1u : 0u);
     }
     return hash.value();
-}
-
-std::string
-hexDigest(std::uint64_t digest)
-{
-    char text[24];
-    std::snprintf(text, sizeof(text), "0x%016llx",
-                  static_cast<unsigned long long>(digest));
-    return text;
-}
-
-/** The row of @p table labelled @p label, or nullptr. */
-template <typename Row, std::size_t N>
-const Row *
-findRow(const Row (&table)[N], const std::string &label)
-{
-    for (const Row &row : table) {
-        if (label == row.label) {
-            return &row;
-        }
-    }
-    return nullptr;
 }
 
 /** One committed replay profile: the SimResult digests of its three

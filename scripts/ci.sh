@@ -8,12 +8,14 @@
 #      tests (thread pool, parallel sweep, and the fleet simulator's
 #      racing shared-store processes) plus the fleet_replay smoke
 #      bench — the shared code store's shard locks under real races
-#   4. AddressSanitizer+UBSan build: first the `replay`-, `frontend`-
-#      and `tiers`-labelled bit-identity tests (the blocked replay
-#      kernel vs the per-event CacheSimulator reference, the live
-#      runtime's logs and stats vs their committed digests, the
-#      tier-pipeline adapters vs their committed digests — the
-#      memory-unsafe-optimization tripwires), then the rest of the
+#   4. AddressSanitizer+UBSan build: first the `replay`-, `frontend`-,
+#      `tiers`- and `workload`-labelled bit-identity tests (the blocked
+#      replay kernel vs the per-event CacheSimulator reference, the
+#      live runtime's logs and stats vs their committed digests, the
+#      tier-pipeline adapters vs their committed digests, the
+#      generated logs vs their committed digests and the packed-word
+#      radix sort with its in-place permutation vs std::stable_sort —
+#      the memory-unsafe-optimization tripwires), then the rest of the
 #      suite
 #   5. smoke policy tournament (2 profiles x ~28 configurations) —
 #      the sharded multi-config replay driver end-to-end, run in the
@@ -82,17 +84,17 @@ if [[ $fast -eq 0 ]]; then
     # locks; TSan must stay silent.
     (cd build-tsan && bench/fleet_replay --smoke)
 
-    step "ASan+UBSan build + replay/frontend/tiers bit-identity tests"
+    step "ASan+UBSan build + replay/frontend/tiers/workload bit-identity tests"
     cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DGENCACHE_SANITIZE=address,undefined \
         >/tmp/gencache-asan-configure.log
     cmake --build build-asan -j "$jobs"
     ctest --test-dir build-asan --output-on-failure \
-        -L "replay|frontend|tiers" -j "$jobs"
+        -L "replay|frontend|tiers|workload" -j "$jobs"
 
     step "ASan+UBSan remaining test suite"
     ctest --test-dir build-asan --output-on-failure \
-        -LE "replay|frontend|tiers" -j "$jobs"
+        -LE "replay|frontend|tiers|workload" -j "$jobs"
 else
     step "skipping sanitizer builds (--fast)"
 fi

@@ -2,6 +2,7 @@
 
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "support/logging.h"
 
@@ -96,6 +97,28 @@ AccessLog::append(const Event &event)
         ++createdCount_;
     }
     events_.push_back(event);
+}
+
+void
+AccessLog::adoptEvents(std::vector<Event> events)
+{
+    std::uint64_t bytes = 0;
+    std::uint64_t count = 0;
+    TimeUs last = 0;
+    for (const Event &event : events) {
+        if (event.time < last) {
+            GENCACHE_PANIC("log time moved backwards: {} after {}",
+                           event.time, last);
+        }
+        last = event.time;
+        if (event.type == EventType::TraceCreate) {
+            bytes += event.sizeBytes;
+            ++count;
+        }
+    }
+    events_ = std::move(events);
+    createdBytes_ = bytes;
+    createdCount_ = count;
 }
 
 std::string

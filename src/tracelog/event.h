@@ -77,6 +77,13 @@ class AccessLog
     /** Append an event; times must be non-decreasing. */
     void append(const Event &event);
 
+    /**
+     * Replace the events with @p events, whose times must be
+     * non-decreasing, without copying them; the created totals are
+     * recounted in the same pass (the generators' whole-log append).
+     */
+    void adoptEvents(std::vector<Event> events);
+
     std::size_t size() const { return events_.size(); }
     bool empty() const { return events_.empty(); }
     const Event &operator[](std::size_t i) const { return events_[i]; }

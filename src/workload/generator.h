@@ -20,8 +20,16 @@
  *  - a small fraction of traces is pinned briefly (undeletable
  *    traces, §4.2).
  *
+ * Events are emitted per trace, then put in log order by one stable
+ * sort on (time, rank), the rank placing simultaneous events legally
+ * (load, create, exec, pin, unpin, unload); equal keys keep emission
+ * order. sortEvents() does it as an LSD radix sort of packed
+ * (key, emission index) words, permutes the events in place, and the
+ * log adopts the sorted vector whole (AccessLog::adoptEvents).
+ *
  * Deterministic: a profile (including its seed) always yields the
- * identical log.
+ * identical log; tests/test_workload.cc pins every catalog profile's
+ * log by committed digests.
  */
 
 #ifndef GENCACHE_WORKLOAD_GENERATOR_H
@@ -84,6 +92,15 @@ struct TraceSizeModel
 
 /** Draw one trace size. Exposed for tests. */
 std::uint32_t sampleTraceSize(Rng &rng, const TraceSizeModel &model);
+
+/**
+ * Stably sort @p events by time, simultaneous events by rank (load,
+ * create, exec, pin, unpin, unload), ties in their current order.
+ * Packs each event's (time << 3 | rank) key above its index into one
+ * 64-bit word; fatal() when n events at times up to T need more than
+ * 64 bits, bit_width(n - 1) + bit_width(T) + 3. Exposed for tests.
+ */
+void sortEvents(std::vector<tracelog::Event> &events);
 
 } // namespace gencache::workload
 

@@ -1,8 +1,10 @@
 #include "analysis/checker.h"
 
+#include <algorithm>
+#include <cctype>
 #include <cstdlib>
 #include <memory>
-#include <string_view>
+#include <string>
 
 #include "analysis/temporal_passes.h"
 #include "runtime/runtime.h"
@@ -30,8 +32,20 @@ checkingEnabled()
     if (value == nullptr) {
         return false;
     }
-    std::string_view v(value);
-    return !v.empty() && v != "0" && v != "false" && v != "off";
+    std::string v(value);
+    std::transform(v.begin(), v.end(), v.begin(), [](unsigned char c) {
+        return static_cast<char>(std::tolower(c));
+    });
+    if (v == "1" || v == "true" || v == "on" || v == "yes") {
+        return true;
+    }
+    if (!v.empty() && v != "0" && v != "false" && v != "off" &&
+        v != "no") {
+        warn("ignoring invalid GENCACHE_CHECK='{}' (want 1, true, on "
+             "or yes, or 0, false, off or no); checking stays off",
+             value);
+    }
+    return false;
 }
 
 DiagnosticEngine

@@ -12,7 +12,8 @@
  *    (link graph + cache state) after every module load/unload and at
  *    the end of each run, panicking on the first error. The hook is
  *    only installed when the GENCACHE_CHECK environment variable is
- *    truthy, so instrumented tests cost nothing by default.
+ *    1, true, on or yes (see checkingEnabled()), so instrumented
+ *    tests cost nothing by default.
  */
 
 #ifndef GENCACHE_ANALYSIS_CHECKER_H
@@ -26,8 +27,9 @@ class CacheSimulator;
 
 namespace gencache::analysis {
 
-/** @return true when GENCACHE_CHECK is set to a truthy value (not
- *  empty, "0", "false", or "off"). */
+/** @return true when GENCACHE_CHECK is 1, true, on or yes, in any
+ *  case. Unset, empty, 0, false, off and no leave checking off; any
+ *  other value warns, naming it, and leaves checking off. */
 bool checkingEnabled();
 
 /** Run every pass over a finished runtime and its program. */

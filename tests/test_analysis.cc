@@ -7,6 +7,7 @@
  * and assert the exact check ID the analyzer reports for it.
  */
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -649,6 +650,39 @@ TEST(Analysis, IntactCachesAreClean)
 // ---------------------------------------------------------------------
 // GENCACHE_CHECK phase-boundary hook.
 // ---------------------------------------------------------------------
+
+// GENCACHE_CHECK parses like the other GENCACHE_* knobs: a fixed
+// vocabulary in any case, and one warning naming anything else.
+TEST(Analysis, CheckKnobParsesStrictly)
+{
+    for (const char *on : {"1", "true", "TRUE", "On", "yes", "YES"}) {
+        ScopedCheckEnv env(on);
+        ::testing::internal::CaptureStderr();
+        EXPECT_TRUE(analysis::checkingEnabled()) << on;
+        EXPECT_EQ(::testing::internal::GetCapturedStderr(), "") << on;
+    }
+    for (const char *off : {static_cast<const char *>(nullptr), "",
+                            "0", "false", "False", "off", "OFF", "no",
+                            "No"}) {
+        ScopedCheckEnv env(off);
+        const std::string label = off == nullptr ? "(unset)" : off;
+        ::testing::internal::CaptureStderr();
+        EXPECT_FALSE(analysis::checkingEnabled()) << label;
+        EXPECT_EQ(::testing::internal::GetCapturedStderr(), "")
+            << label;
+    }
+    for (const char *bad : {"2", "maybe", "enabled", " 1", "yes!"}) {
+        ScopedCheckEnv env(bad);
+        ::testing::internal::CaptureStderr();
+        EXPECT_FALSE(analysis::checkingEnabled()) << bad;
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find("warn: ignoring invalid GENCACHE_CHECK='" +
+                           std::string(bad) + "'"),
+                  std::string::npos)
+            << err;
+        EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+    }
+}
 
 TEST(Analysis, PhaseChecksAttachOnlyWhenEnabled)
 {

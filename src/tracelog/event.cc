@@ -145,6 +145,15 @@ AccessLog::firstViolation() const
         last = event.time;
         switch (event.type) {
           case EventType::TraceCreate: {
+            if (event.trace == cache::kInvalidTrace) {
+                return format("trace {} is the reserved invalid trace id",
+                              event.trace);
+            }
+            if (loaded.count(event.module) == 0) {
+                return format("trace {} created in module {}, which is "
+                              "not loaded",
+                              event.trace, event.module);
+            }
             std::uint64_t epoch = unloadEpoch[event.module];
             auto [it, inserted] = created.emplace(
                 event.trace, Creation{event.module, epoch});
@@ -175,6 +184,10 @@ AccessLog::firstViolation() const
             }
             break;
           case EventType::ModuleLoad:
+            if (event.module == cache::kNoModule) {
+                return format("module {} is the reserved no-module id",
+                              event.module);
+            }
             if (!loaded.insert(event.module).second) {
                 return format("module {} loaded twice", event.module);
             }

@@ -124,10 +124,12 @@ class AccessLog
 
     /**
      * The log's structural rules: non-decreasing times, each trace
-     * created (with a nonzero size) before executed/pinned, no
-     * duplicate creations (a trace may be re-created only after its
-     * owning module unloaded — the module reload path), loads only of
-     * unloaded modules and unloads only of loaded ones.
+     * created (with a nonzero size, in a loaded module, under an id
+     * other than the reserved cache::kInvalidTrace) before
+     * executed/pinned, no duplicate creations (a trace may be
+     * re-created only after its owning module unloaded — the module
+     * reload path), loads only of unloaded modules other than the
+     * reserved cache::kNoModule, and unloads only of loaded ones.
      * @return the first rule the log breaks, naming the trace or
      * module, or an empty string when it keeps them all (the loaders
      * report this for user-supplied files).

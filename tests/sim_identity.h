@@ -1,9 +1,10 @@
 /**
  * @file
- * Identity helpers shared by the replay, tier, fleet, front-end and
- * workload tests: the one field-by-field SimResult comparator, the
- * 64-bit FNV-1a digest the committed golden tables are written in,
- * and the lookup and printing of those tables' rows.
+ * Identity helpers shared by the replay, tier, fleet, front-end,
+ * workload and tracelog tests: the one field-by-field SimResult
+ * comparator, the 64-bit FNV-1a digest the committed golden tables
+ * are written in, the lookup and printing of those tables' rows, and
+ * the profile scaling the committed logs are generated at.
  *
  * Both walk one field list, numericFields(). A digest stands in for a
  * field-by-field comparison against an implementation that no longer
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdio>
@@ -25,6 +27,7 @@
 #include "codecache/cache_manager.h"
 #include "costmodel/cost_model.h"
 #include "sim/simulator.h"
+#include "workload/profile.h"
 
 namespace gencache::identity {
 
@@ -156,6 +159,17 @@ findRow(const Row (&table)[N], const std::string &label)
         }
     }
     return nullptr;
+}
+
+/** @p profile with its volume and duration scaled by @p factor, as
+ *  the figure benches and perfbench scale it: the scales the
+ *  committed log rows are recorded at. */
+inline workload::BenchmarkProfile
+scaledProfile(workload::BenchmarkProfile profile, double factor)
+{
+    profile.finalCacheKb = std::max(profile.finalCacheKb * factor, 16.0);
+    profile.durationSec = std::max(profile.durationSec * factor, 0.25);
+    return profile;
 }
 
 } // namespace gencache::identity

@@ -630,16 +630,6 @@ digestText(const LogDigest &digest)
            identity::hexDigest(digest.digest) + "}";
 }
 
-/** @p profile with its volume and duration scaled by @p factor, as
- *  the figure benches and perfbench scale it. */
-BenchmarkProfile
-scaledProfile(BenchmarkProfile profile, double factor)
-{
-    profile.finalCacheKb = std::max(profile.finalCacheKb * factor, 16.0);
-    profile.durationSec = std::max(profile.durationSec * factor, 0.25);
-    return profile;
-}
-
 /** One catalog profile's committed logs at the two scales. */
 struct GoldenProfileLogs
 {
@@ -700,9 +690,9 @@ TEST(Generator, LogsMatchCommittedDigests)
 {
     for (const BenchmarkProfile &profile : allProfiles()) {
         const LogDigest small = digestOf(
-            {generateWorkload(scaledProfile(profile, 0.03))});
+            {generateWorkload(identity::scaledProfile(profile, 0.03))});
         const LogDigest quarter = digestOf(
-            {generateWorkload(scaledProfile(profile, 0.25))});
+            {generateWorkload(identity::scaledProfile(profile, 0.25))});
         const GoldenProfileLogs *golden =
             identity::findRow(kGoldenLogs, profile.name);
         const std::string head = "    {\"" + profile.name + "\", " +

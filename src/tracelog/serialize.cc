@@ -1,10 +1,15 @@
 #include "tracelog/serialize.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <memory>
 #include <ostream>
 #include <sstream>
+#include <streambuf>
+#include <string_view>
+#include <vector>
 
 #include "support/format.h"
 #include "support/logging.h"
@@ -63,162 +68,324 @@ tokenToType(const std::string &token, EventType &type)
     return false;
 }
 
-template <typename T>
-void
-writeLe(std::ostream &out, T value)
-{
-    unsigned char bytes[sizeof(T)];
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-        bytes[i] = static_cast<unsigned char>(
-            (value >> (8 * i)) & 0xff);
-    }
-    out.write(reinterpret_cast<const char *>(bytes), sizeof(T));
-}
+/** Fewest bytes one event takes: a type byte, a one-byte time delta
+ *  and one one-byte field in v2; the fixed-width record in v1. */
+constexpr std::size_t kMinEventBytesV2 = 3;
+constexpr std::size_t kEventBytesV1 = 25;
 
-template <typename T>
-T
-readLe(std::istream &in)
+/**
+ * The binary formats' output side. Encoded bytes fill a fixed block;
+ * each full block, and the tail at flush(), goes to the stream in one
+ * out.write(), so no field costs a stream call and its sentry. A
+ * failed write sets the stream's badbit, as a direct write would.
+ */
+class BlockWriter
 {
-    unsigned char bytes[sizeof(T)];
-    in.read(reinterpret_cast<char *>(bytes), sizeof(T));
-    if (!in) {
-        parseFail("truncated binary access log");
+  public:
+    explicit BlockWriter(std::ostream &out)
+        : out_(out),
+          block_(std::make_unique_for_overwrite<char[]>(kBlockBytes))
+    {
     }
-    T value = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-        value |= static_cast<T>(bytes[i]) << (8 * i);
-    }
-    return value;
-}
 
-/** LEB128: 7 payload bits per byte, high bit = continuation. */
-void
-writeVarint(std::ostream &out, std::uint64_t value)
-{
-    unsigned char buf[10];
-    std::size_t n = 0;
-    do {
-        unsigned char byte = value & 0x7f;
-        value >>= 7;
-        if (value != 0) {
-            byte |= 0x80;
+    void byte(std::uint8_t value)
+    {
+        room(1);
+        put(value);
+    }
+
+    /** LEB128: 7 payload bits per byte, high bit = continuation. */
+    void varint(std::uint64_t value)
+    {
+        room(kMaxVarintBytes);
+        while (value >= 0x80) {
+            put(static_cast<std::uint8_t>(value | 0x80));
+            value >>= 7;
         }
-        buf[n++] = byte;
-    } while (value != 0);
-    out.write(reinterpret_cast<const char *>(buf),
-              static_cast<std::streamsize>(n));
-}
+        put(static_cast<std::uint8_t>(value));
+    }
 
-std::uint64_t
-readVarint(std::istream &in)
+    template <typename T>
+    void le(T value)
+    {
+        room(sizeof(T));
+        for (std::size_t i = 0; i < sizeof(T); ++i) {
+            put(static_cast<std::uint8_t>(value >> (8 * i)));
+        }
+    }
+
+    void bytes(std::string_view text)
+    {
+        room(text.size());
+        if (text.size() > kBlockBytes) {
+            out_.write(text.data(),
+                       static_cast<std::streamsize>(text.size()));
+            return;
+        }
+        std::memcpy(block_.get() + used_, text.data(), text.size());
+        used_ += text.size();
+    }
+
+    /** Hand the buffered bytes to the stream. */
+    void flush()
+    {
+        out_.write(block_.get(), static_cast<std::streamsize>(used_));
+        used_ = 0;
+    }
+
+  private:
+    static constexpr std::size_t kBlockBytes = 64 * 1024;
+    static constexpr std::size_t kMaxVarintBytes = 10;
+
+    /** Flush first unless @p bytes more fit in the block. */
+    void room(std::size_t bytes)
+    {
+        if (kBlockBytes - used_ < bytes) {
+            flush();
+        }
+    }
+
+    void put(std::uint8_t value)
+    {
+        block_[used_++] = static_cast<char>(value);
+    }
+
+    std::ostream &out_;
+    std::unique_ptr<char[]> block_;
+    std::size_t used_ = 0;
+};
+
+/**
+ * The binary formats' input side. Bytes come straight from the
+ * stream's buffer through the inline sbumpc(), with no sentry per
+ * byte, and only the log's own bytes are taken: whatever follows the
+ * log is still the stream's next byte. A stream that is not good(),
+ * or has no buffer, reads as empty.
+ */
+class ByteReader
 {
-    std::uint64_t value = 0;
-    for (unsigned shift = 0; shift < 64; shift += 7) {
-        int byte = in.get();
-        if (byte == std::char_traits<char>::eof()) {
+  public:
+    explicit ByteReader(std::istream &in)
+        : buf_(in.good() ? in.rdbuf() : nullptr)
+    {
+    }
+
+    /** Copy the next @p n bytes to @p out; false if the stream ends
+     *  first. */
+    bool bytes(char *out, std::size_t n)
+    {
+        return buf_ != nullptr &&
+               buf_->sgetn(out, static_cast<std::streamsize>(n)) ==
+                   static_cast<std::streamsize>(n);
+    }
+
+    /** The benchmark name, @p length bytes. */
+    std::string name(std::size_t length)
+    {
+        std::string text(length, '\0');
+        if (!bytes(text.data(), length)) {
+            parseFail("truncated binary access log header");
+        }
+        return text;
+    }
+
+    std::uint8_t byte()
+    {
+        int value = buf_ == nullptr ? std::char_traits<char>::eof()
+                                    : buf_->sbumpc();
+        if (value == std::char_traits<char>::eof()) {
             parseFail("truncated binary access log");
         }
-        value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-        if ((byte & 0x80) == 0) {
-            return value;
+        return static_cast<std::uint8_t>(value);
+    }
+
+    std::uint64_t varint()
+    {
+        std::uint64_t value = 0;
+        for (unsigned shift = 0; shift < 64; shift += 7) {
+            std::uint8_t next = byte();
+            value |= static_cast<std::uint64_t>(next & 0x7f) << shift;
+            if ((next & 0x80) == 0) {
+                return value;
+            }
         }
+        parseFail("binary gclog: varint longer than 64 bits");
     }
-    parseFail("binary gclog: varint longer than 64 bits");
-}
 
-/** Decode a +1-biased trace reference: 0 is reserved (it would
- *  underflow to kInvalidTrace), so a corrupt stream fails loudly
- *  instead of producing a sentinel trace id. */
-cache::TraceId
-readTraceRef(std::istream &in, std::uint64_t event_index)
-{
-    std::uint64_t raw = readVarint(in);
-    if (raw == 0) {
-        parseFail("binary gclog: event {} has trace reference 0 "
-              "(corrupt stream)", event_index);
+    template <typename T>
+    T le()
+    {
+        T value = 0;
+        for (std::size_t i = 0; i < sizeof(T); ++i) {
+            value |= static_cast<T>(static_cast<T>(byte()) << (8 * i));
+        }
+        return value;
     }
-    return raw - 1;
-}
 
-/** Decode a +1-biased module reference. The writer adds 1 in 32-bit
- *  arithmetic (kNoModule wraps to 0, which is legal), so any varint
- *  wider than 32 bits means the stream is corrupt, not merely
- *  large. */
-cache::ModuleId
-readModuleRef(std::istream &in, std::uint64_t event_index)
-{
-    std::uint64_t raw = readVarint(in);
-    if (raw > 0xffffffffULL) {
-        parseFail("binary gclog: event {} has bad module reference {} "
-              "(corrupt stream)", event_index, raw);
+    EventType type()
+    {
+        std::uint8_t type = byte();
+        if (type > static_cast<std::uint8_t>(EventType::Unpin)) {
+            parseFail("binary gclog: bad event type {}", int{type});
+        }
+        return static_cast<EventType>(type);
     }
-    return static_cast<cache::ModuleId>(raw) - 1U;
+
+    /** Decode a +1-biased trace reference: 0 is reserved (it would
+     *  underflow to kInvalidTrace), so a corrupt stream fails loudly
+     *  instead of producing a sentinel trace id. */
+    cache::TraceId traceRef(std::uint64_t event_index)
+    {
+        std::uint64_t raw = varint();
+        if (raw == 0) {
+            parseFail("binary gclog: event {} has trace reference 0 "
+                      "(corrupt stream)",
+                      event_index);
+        }
+        return raw - 1;
+    }
+
+    /** Decode a +1-biased module reference. The writer adds 1 in
+     *  32-bit arithmetic (kNoModule wraps to 0, which is legal), so
+     *  any varint wider than 32 bits means the stream is corrupt, not
+     *  merely large. */
+    cache::ModuleId moduleRef(std::uint64_t event_index)
+    {
+        std::uint64_t raw = varint();
+        if (raw > 0xffffffffULL) {
+            parseFail("binary gclog: event {} has bad module reference "
+                      "{} (corrupt stream)",
+                      event_index, raw);
+        }
+        return static_cast<cache::ModuleId>(raw) - 1U;
+    }
+
+    /** An empty event vector with room for @p count events, but never
+     *  for more than the buffer reports left at @p min_event_bytes
+     *  each: the count is untrusted, so a corrupt one cannot allocate
+     *  past the stream. */
+    std::vector<Event> reserveEvents(std::uint64_t count,
+                                     std::size_t min_event_bytes) const
+    {
+        std::vector<Event> events;
+        std::streamsize left = buf_ == nullptr ? 0 : buf_->in_avail();
+        if (left > 0) {
+            events.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
+                count,
+                static_cast<std::uint64_t>(left) / min_event_bytes)));
+        }
+        return events;
+    }
+
+  private:
+    std::streambuf *buf_;
+};
+
+void
+writeBinaryV1(const AccessLog &log, BlockWriter &out)
+{
+    out.bytes({kBinaryMagic, sizeof(kBinaryMagic)});
+    out.le<std::uint32_t>(
+        static_cast<std::uint32_t>(log.benchmark().size()));
+    out.bytes(log.benchmark());
+    out.le<std::uint64_t>(log.duration());
+    out.le<std::uint64_t>(log.footprintBytes());
+    out.le<std::uint64_t>(log.size());
+    for (const Event &event : log.events()) {
+        out.byte(static_cast<std::uint8_t>(event.type));
+        out.le<std::uint64_t>(event.time);
+        out.le<std::uint64_t>(event.trace);
+        out.le<std::uint32_t>(event.sizeBytes);
+        out.le<std::uint32_t>(event.module);
+    }
 }
 
 void
-writeBinaryV2(const AccessLog &log, std::ostream &out)
+writeBinaryV2(const AccessLog &log, BlockWriter &out)
 {
-    out.write(kBinaryMagicV2, sizeof(kBinaryMagicV2));
-    writeVarint(out, log.benchmark().size());
-    out.write(log.benchmark().data(),
-              static_cast<std::streamsize>(log.benchmark().size()));
-    writeVarint(out, log.duration());
-    writeVarint(out, log.footprintBytes());
-    writeVarint(out, log.size());
+    out.bytes({kBinaryMagicV2, sizeof(kBinaryMagicV2)});
+    out.varint(log.benchmark().size());
+    out.bytes(log.benchmark());
+    out.varint(log.duration());
+    out.varint(log.footprintBytes());
+    out.varint(log.size());
     TimeUs prev = 0;
     for (const Event &event : log.events()) {
-        writeLe<std::uint8_t>(out,
-                              static_cast<std::uint8_t>(event.type));
-        writeVarint(out, event.time - prev);
+        out.byte(static_cast<std::uint8_t>(event.type));
+        out.varint(event.time - prev);
         prev = event.time;
         switch (event.type) {
           case EventType::TraceCreate:
-            writeVarint(out, event.trace + 1);
-            writeVarint(out, event.sizeBytes);
-            writeVarint(out, static_cast<std::uint64_t>(
-                                 event.module + 1U));
+            out.varint(event.trace + 1);
+            out.varint(event.sizeBytes);
+            out.varint(static_cast<std::uint64_t>(event.module + 1U));
             break;
           case EventType::TraceExec:
           case EventType::Pin:
           case EventType::Unpin:
-            writeVarint(out, event.trace + 1);
+            out.varint(event.trace + 1);
             break;
           case EventType::ModuleLoad:
           case EventType::ModuleUnload:
-            writeVarint(out, static_cast<std::uint64_t>(
-                                 event.module + 1U));
+            out.varint(static_cast<std::uint64_t>(event.module + 1U));
             break;
         }
     }
 }
 
 AccessLog
-readBinaryV2(std::istream &in)
+readBinaryV1(ByteReader &in)
 {
     AccessLog log;
-    auto name_len = readVarint(in);
+    auto name_len = in.le<std::uint32_t>();
     if (name_len > (1U << 20)) {
         parseFail("binary gclog: implausible benchmark name length {}",
-              name_len);
+                  name_len);
     }
-    std::string name(name_len, '\0');
-    in.read(name.data(), static_cast<std::streamsize>(name_len));
-    if (!in) {
-        parseFail("truncated binary access log header");
+    log.setBenchmark(in.name(name_len));
+    log.setDuration(in.le<std::uint64_t>());
+    log.setFootprintBytes(in.le<std::uint64_t>());
+    auto count = in.le<std::uint64_t>();
+    std::vector<Event> events = in.reserveEvents(count, kEventBytesV1);
+    for (std::uint64_t i = 0; i < count; ++i) {
+        Event event;
+        event.type = in.type();
+        event.time = in.le<std::uint64_t>();
+        event.trace = in.le<std::uint64_t>();
+        event.sizeBytes = in.le<std::uint32_t>();
+        event.module = in.le<std::uint32_t>();
+        // Absolute times can go backwards, which AccessLog treats as
+        // a bug; reject it as input instead.
+        if (!events.empty() && event.time < events.back().time) {
+            parseFail("gclog: event {} at t={} is earlier than the one "
+                      "before it (t={})",
+                      i, event.time, events.back().time);
+        }
+        events.push_back(event);
     }
-    log.setBenchmark(name);
-    log.setDuration(readVarint(in));
-    log.setFootprintBytes(readVarint(in));
-    auto count = readVarint(in);
+    log.adoptEvents(std::move(events));
+    return log;
+}
+
+AccessLog
+readBinaryV2(ByteReader &in)
+{
+    AccessLog log;
+    auto name_len = in.varint();
+    if (name_len > (1U << 20)) {
+        parseFail("binary gclog: implausible benchmark name length {}",
+                  name_len);
+    }
+    log.setBenchmark(in.name(static_cast<std::size_t>(name_len)));
+    log.setDuration(in.varint());
+    log.setFootprintBytes(in.varint());
+    auto count = in.varint();
+    std::vector<Event> events = in.reserveEvents(count, kMinEventBytesV2);
     TimeUs prev = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
         Event event;
-        auto type = readLe<std::uint8_t>(in);
-        if (type > static_cast<std::uint8_t>(EventType::Unpin)) {
-            parseFail("binary gclog: bad event type {}", int{type});
-        }
-        event.type = static_cast<EventType>(type);
-        TimeUs delta = readVarint(in);
+        event.type = in.type();
+        TimeUs delta = in.varint();
         if (delta > ~prev) {
             parseFail("binary gclog: event {} time overflows", i);
         }
@@ -226,28 +393,30 @@ readBinaryV2(std::istream &in)
         prev = event.time;
         switch (event.type) {
           case EventType::TraceCreate: {
-            event.trace = readTraceRef(in, i);
-            std::uint64_t size_bytes = readVarint(in);
+            event.trace = in.traceRef(i);
+            std::uint64_t size_bytes = in.varint();
             if (size_bytes > 0xffffffffULL) {
                 parseFail("binary gclog: event {} trace size {} exceeds "
-                      "32 bits (corrupt stream)", i, size_bytes);
+                          "32 bits (corrupt stream)",
+                          i, size_bytes);
             }
             event.sizeBytes = static_cast<std::uint32_t>(size_bytes);
-            event.module = readModuleRef(in, i);
+            event.module = in.moduleRef(i);
             break;
           }
           case EventType::TraceExec:
           case EventType::Pin:
           case EventType::Unpin:
-            event.trace = readTraceRef(in, i);
+            event.trace = in.traceRef(i);
             break;
           case EventType::ModuleLoad:
           case EventType::ModuleUnload:
-            event.module = readModuleRef(in, i);
+            event.module = in.moduleRef(i);
             break;
         }
-        log.append(event);
+        events.push_back(event);
     }
+    log.adoptEvents(std::move(events));
     return log;
 }
 
@@ -351,29 +520,16 @@ readText(std::istream &in)
 void
 writeBinary(const AccessLog &log, std::ostream &out, int version)
 {
-    if (version == 2) {
-        writeBinaryV2(log, out);
-        return;
-    }
-    if (version != 1) {
+    if (version != 1 && version != 2) {
         fatal("unsupported binary gclog version {}", version);
     }
-    out.write(kBinaryMagic, sizeof(kBinaryMagic));
-    writeLe<std::uint32_t>(
-        out, static_cast<std::uint32_t>(log.benchmark().size()));
-    out.write(log.benchmark().data(),
-              static_cast<std::streamsize>(log.benchmark().size()));
-    writeLe<std::uint64_t>(out, log.duration());
-    writeLe<std::uint64_t>(out, log.footprintBytes());
-    writeLe<std::uint64_t>(out, log.size());
-    for (const Event &event : log.events()) {
-        writeLe<std::uint8_t>(out,
-                              static_cast<std::uint8_t>(event.type));
-        writeLe<std::uint64_t>(out, event.time);
-        writeLe<std::uint64_t>(out, event.trace);
-        writeLe<std::uint32_t>(out, event.sizeBytes);
-        writeLe<std::uint32_t>(out, event.module);
+    BlockWriter writer(out);
+    if (version == 2) {
+        writeBinaryV2(log, writer);
+    } else {
+        writeBinaryV1(log, writer);
     }
+    writer.flush();
 }
 
 namespace {
@@ -381,47 +537,18 @@ namespace {
 AccessLog
 readBinaryImpl(std::istream &in)
 {
+    ByteReader reader(in);
     char magic[4];
-    in.read(magic, sizeof(magic));
-    if (!in) {
+    if (!reader.bytes(magic, sizeof(magic))) {
         parseFail("not a gclog binary file");
     }
     if (std::memcmp(magic, kBinaryMagicV2, sizeof(magic)) == 0) {
-        return readBinaryV2(in);
+        return readBinaryV2(reader);
     }
     if (std::memcmp(magic, kBinaryMagic, sizeof(magic)) != 0) {
         parseFail("not a gclog binary file");
     }
-    AccessLog log;
-    auto name_len = readLe<std::uint32_t>(in);
-    if (name_len > (1U << 20)) {
-        parseFail("binary gclog: implausible benchmark name length {}",
-              name_len);
-    }
-    std::string name(name_len, '\0');
-    in.read(name.data(), name_len);
-    if (!in) {
-        parseFail("truncated binary access log header");
-    }
-    log.setBenchmark(name);
-    log.setDuration(readLe<std::uint64_t>(in));
-    log.setFootprintBytes(readLe<std::uint64_t>(in));
-    auto count = readLe<std::uint64_t>(in);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        Event event;
-        auto type = readLe<std::uint8_t>(in);
-        if (type > static_cast<std::uint8_t>(EventType::Unpin)) {
-            parseFail("binary gclog: bad event type {}", int{type});
-        }
-        event.type = static_cast<EventType>(type);
-        event.time = readLe<std::uint64_t>(in);
-        event.trace = readLe<std::uint64_t>(in);
-        event.sizeBytes = readLe<std::uint32_t>(in);
-        event.module = readLe<std::uint32_t>(in);
-        checkTimeOrder(log, event, i);
-        log.append(event);
-    }
-    return log;
+    return readBinaryV1(reader);
 }
 
 } // namespace

@@ -54,9 +54,14 @@ AccessLog readText(std::istream &in);
  *        event's time, and only the fields the event type carries
  *        (trace id for trace events, module for create/load/unload,
  *        size for create), each as a varint. Trace and module ids are
- *        stored +1 so the sentinels (kInvalidTrace, kNoModule) encode
- *        as a single 0 byte. Fields an event type does not carry
- *        decode to their Event defaults.
+ *        stored +1, module ids in 32-bit arithmetic, so kNoModule
+ *        encodes as a single 0 byte. A trace reference 0, which is
+ *        what kInvalidTrace wraps to, is rejected on read. Fields an
+ *        event type does not carry decode to their Event defaults.
+ *
+ * The encoded bytes collect in a fixed 64 KiB block, and each full
+ * block, and the tail, reaches @p out in one write(); a failed write
+ * sets its badbit as usual.
  *
  * @param version 1 or 2 (default 2); fatal() on anything else.
  */
@@ -64,7 +69,12 @@ void writeBinary(const AccessLog &log, std::ostream &out,
                  int version = 2);
 
 /** Parse either binary format; the version is negotiated from the
- *  magic. Calls fatal() on malformed input. */
+ *  magic. Calls fatal() on malformed input. Bytes are taken from
+ *  @p in's buffer one at a time, and only the log's own: a byte
+ *  written after the log is still the stream's next byte. The
+ *  header's event count is untrusted, so the event vector is reserved
+ *  for no more events than the buffer reports bytes left (in_avail())
+ *  at the smallest event size, 3 bytes in v2 and 25 in v1. */
 AccessLog readBinary(std::istream &in);
 
 /** Convenience file helpers; format chosen by extension ".gclog"

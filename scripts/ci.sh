@@ -9,14 +9,15 @@
 #      racing shared-store processes) plus the fleet_replay smoke
 #      bench — the shared code store's shard locks under real races
 #   4. AddressSanitizer+UBSan build: first the `replay`-, `frontend`-,
-#      `tiers`- and `workload`-labelled bit-identity tests (the blocked
-#      replay kernel vs the per-event CacheSimulator reference, the
-#      live runtime's logs and stats vs their committed digests, the
-#      tier-pipeline adapters vs their committed digests, the
-#      generated logs vs their committed digests and the packed-word
-#      radix sort with its in-place permutation vs std::stable_sort —
-#      the memory-unsafe-optimization tripwires), then the rest of the
-#      suite
+#      `tiers`-, `workload`- and `tracelog`-labelled bit-identity tests
+#      (the blocked replay kernel vs the per-event CacheSimulator
+#      reference, the live runtime's logs and stats vs their committed
+#      digests, the tier-pipeline adapters vs their committed digests,
+#      the generated logs vs their committed digests and the
+#      packed-word radix sort with its in-place permutation vs
+#      std::stable_sort, the gclog codec vs its committed encodings and
+#      corrupt-stream outcomes — the memory-unsafe-optimization
+#      tripwires), then the rest of the suite
 #   5. smoke policy tournament (2 profiles x ~28 configurations) —
 #      the sharded multi-config replay driver end-to-end, run in the
 #      plain build and (unless --fast) again under ASan+UBSan; the
@@ -36,10 +37,11 @@
 #      runs, per-event sim replays, and batched-replay end states; any
 #      diagnostic of severity error (or worse) fails the pipeline
 #   9. gencheck temporal over recorded journals: record gzip and mpeg
-#      event streams with logreplay_tool, then replay them offline
-#      through the temporal invariant engine (gencheck --journal);
-#      also exercises the distinct load-failure exit code (3) on a
-#      missing journal and on one whose events break the log's rules
+#      event streams with logreplay_tool (gzip in both binary
+#      versions), then replay them offline through the temporal
+#      invariant engine (gencheck --journal); also exercises the
+#      distinct load-failure exit code (3) on a missing journal and on
+#      journals whose events break the log's rules
 #  10. clang -Wthread-safety -Werror compile of the annotated tree
 #      (ThreadPool, shared sweep/tournament state); self-skips with a
 #      notice when no clang toolchain is installed
@@ -84,17 +86,17 @@ if [[ $fast -eq 0 ]]; then
     # locks; TSan must stay silent.
     (cd build-tsan && bench/fleet_replay --smoke)
 
-    step "ASan+UBSan build + replay/frontend/tiers/workload bit-identity tests"
+    step "ASan+UBSan build + replay/frontend/tiers/workload/tracelog tests"
     cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DGENCACHE_SANITIZE=address,undefined \
         >/tmp/gencache-asan-configure.log
     cmake --build build-asan -j "$jobs"
     ctest --test-dir build-asan --output-on-failure \
-        -L "replay|frontend|tiers|workload" -j "$jobs"
+        -L "replay|frontend|tiers|workload|tracelog" -j "$jobs"
 
     step "ASan+UBSan remaining test suite"
     ctest --test-dir build-asan --output-on-failure \
-        -LE "replay|frontend|tiers|workload" -j "$jobs"
+        -LE "replay|frontend|tiers|workload|tracelog" -j "$jobs"
 else
     step "skipping sanitizer builds (--fast)"
 fi
@@ -134,13 +136,18 @@ mkdir -p build-ci/journals
     build-ci/journals/gzip.gclogb
 "$root"/build-ci/examples/logreplay_tool generate mpeg \
     build-ci/journals/mpeg.gclogb
+# The same gzip events as v1, so both binary decoders run end to end.
+"$root"/build-ci/examples/logreplay_tool generate gzip \
+    build-ci/journals/gzip-v1.gclogb --format v1
 "$root"/build-ci/tools/gencheck \
     --journal build-ci/journals/gzip.gclogb \
     --journal build-ci/journals/mpeg.gclogb \
+    --journal build-ci/journals/gzip-v1.gclogb \
     --json build-ci/gencheck-temporal-report.json
 # The load-failure exit code must stay distinct from "found errors",
-# both for a missing journal and for one that executes a trace before
-# creating it.
+# for a missing journal and for journals that execute a trace before
+# creating it, use the reserved trace id (the text reader reads -1 as
+# 2^64 - 1) or create a trace in a module that is not loaded.
 cat >build-ci/journals/exec-before-create.gclog <<'JOURNAL'
 gclog 1
 benchmark broken
@@ -151,7 +158,27 @@ load 0 0 0 1
 exec 5 42 0 0
 create 6 42 64 1
 JOURNAL
-for journal in does-not-exist.gclogb exec-before-create.gclog; do
+cat >build-ci/journals/reserved-trace.gclog <<'JOURNAL'
+gclog 1
+benchmark broken
+duration_us 6
+footprint_bytes 64
+events 3
+load 0 0 0 1
+create 5 -1 64 1
+exec 6 -1 0 0
+JOURNAL
+cat >build-ci/journals/unloaded-module.gclog <<'JOURNAL'
+gclog 1
+benchmark broken
+duration_us 6
+footprint_bytes 64
+events 2
+create 5 42 64 7
+exec 6 42 0 0
+JOURNAL
+for journal in does-not-exist.gclogb exec-before-create.gclog \
+    reserved-trace.gclog unloaded-module.gclog; do
     load_rc=0
     "$root"/build-ci/tools/gencheck \
         --journal "build-ci/journals/$journal" \

@@ -2,7 +2,8 @@
  * @file
  * Shared helpers for the benchmark harness binaries.
  *
- * Every figure/table binary replays the full benchmark suites by
+ * paper_figures (Table 1 and every figure, paper_figures.h) and the
+ * sweep and ablation benches replay the full benchmark suites by
  * default. Set GENCACHE_SCALE=<factor> (e.g. 0.1) to scale workload
  * volume down proportionally for quick runs — insertion rates and
  * shapes are preserved, absolute sizes shrink.

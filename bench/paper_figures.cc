@@ -1,0 +1,26 @@
+/**
+ * @file
+ * Reproduces the paper's results in one process: Table 1 and Figures
+ * 1-4, 6 and 9-11, in that order, each profile generated and measured
+ * once (bench/paper_figures.h).
+ *
+ * GENCACHE_SCALE=<factor> scales every profile's volume, as in the
+ * other benches; GENCACHE_THREADS sets the worker count (default: the
+ * hardware's). The output is the same at every worker count.
+ */
+
+#include <cstdio>
+
+#include "paper_figures.h"
+
+int
+main()
+{
+    using namespace gencache;
+
+    ThreadPool pool;
+    for (const bench::FigureText &figure : bench::paperFigures(pool)) {
+        std::fwrite(figure.text.data(), 1, figure.text.size(), stdout);
+    }
+    return 0;
+}

@@ -5,19 +5,22 @@
 #   2. the same suite again under GENCACHE_CHECK=1 (phase-boundary
 #      invariant passes active inside the runtime/simulator tests)
 #   3. ThreadSanitizer build, running the `tsan`-labelled concurrency
-#      tests (thread pool, parallel sweep, and the fleet simulator's
-#      racing shared-store processes) plus the fleet_replay smoke
-#      bench — the shared code store's shard locks under real races
+#      tests (thread pool, parallel sweep, the fleet simulator's
+#      racing shared-store processes, and the paper figures measured
+#      on 4 workers) plus the fleet_replay smoke bench — the shared
+#      code store's shard locks under real races
 #   4. AddressSanitizer+UBSan build: first the `replay`-, `frontend`-,
-#      `tiers`-, `workload`- and `tracelog`-labelled bit-identity tests
-#      (the blocked replay kernel vs the per-event CacheSimulator
-#      reference, the live runtime's logs and stats vs their committed
-#      digests, the tier-pipeline adapters vs their committed digests,
-#      the generated logs vs their committed digests and the
-#      packed-word radix sort with its in-place permutation vs
-#      std::stable_sort, the gclog codec vs its committed encodings and
-#      corrupt-stream outcomes — the memory-unsafe-optimization
-#      tripwires), then the rest of the suite
+#      `tiers`-, `workload`-, `tracelog`- and `figures`-labelled
+#      bit-identity tests (the blocked replay kernel vs the per-event
+#      CacheSimulator reference, the live runtime's logs and stats vs
+#      their committed digests, the tier-pipeline adapters vs their
+#      committed digests, the generated logs vs their committed
+#      digests and the packed-word radix sort with its in-place
+#      permutation vs std::stable_sort, the gclog codec vs its
+#      committed encodings and the binary and text corrupt-stream
+#      outcomes, Table 1 and every paper figure vs their committed
+#      digests — the memory-unsafe-optimization tripwires), then the
+#      rest of the suite
 #   5. smoke policy tournament (2 profiles x ~28 configurations) —
 #      the sharded multi-config replay driver end-to-end, run in the
 #      plain build and (unless --fast) again under ASan+UBSan; the
@@ -29,10 +32,11 @@
 #      metric must print with its unit, and a corrupted golden digest
 #      must be caught
 #   7. GENCACHE_SIMD=OFF build: the scalar-only fallback must build
-#      and pass every `replay`- and `tiers`-labelled bit-identity test
-#      (selected by label, so a renamed test is not silently dropped;
-#      the `tiers` tests hold the scalar build to the same committed
-#      digests) plus the SIMD-kernel and CompiledLog tests
+#      and pass every `replay`-, `tiers`- and `figures`-labelled
+#      bit-identity test (selected by label, so a renamed test is not
+#      silently dropped; the `tiers` and `figures` tests hold the
+#      scalar build to the same committed digests, so it must print
+#      the same figures) plus the SIMD-kernel and CompiledLog tests
 #   8. gencheck over the example workloads — topology lints, live
 #      runs, per-event sim replays, and batched-replay end states; any
 #      diagnostic of severity error (or worse) fails the pipeline
@@ -86,17 +90,17 @@ if [[ $fast -eq 0 ]]; then
     # locks; TSan must stay silent.
     (cd build-tsan && bench/fleet_replay --smoke)
 
-    step "ASan+UBSan build + replay/frontend/tiers/workload/tracelog tests"
+    step "ASan+UBSan build + replay/frontend/tiers/workload/tracelog/figures tests"
     cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DGENCACHE_SANITIZE=address,undefined \
         >/tmp/gencache-asan-configure.log
     cmake --build build-asan -j "$jobs"
     ctest --test-dir build-asan --output-on-failure \
-        -L "replay|frontend|tiers|workload|tracelog" -j "$jobs"
+        -L "replay|frontend|tiers|workload|tracelog|figures" -j "$jobs"
 
     step "ASan+UBSan remaining test suite"
     ctest --test-dir build-asan --output-on-failure \
-        -LE "replay|frontend|tiers|workload|tracelog" -j "$jobs"
+        -LE "replay|frontend|tiers|workload|tracelog|figures" -j "$jobs"
 else
     step "skipping sanitizer builds (--fast)"
 fi
@@ -115,12 +119,12 @@ fi
 step "repository benchmark smoke test (plain build)"
 python3 perfbench/smoke_test.py
 
-step "GENCACHE_SIMD=OFF scalar-fallback build + replay/tiers/simd tests"
+step "GENCACHE_SIMD=OFF scalar-fallback build + replay/tiers/figures/simd tests"
 cmake -B build-nosimd -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DGENCACHE_SIMD=OFF >/tmp/gencache-nosimd-configure.log
 cmake --build build-nosimd -j "$jobs"
-ctest --test-dir build-nosimd --output-on-failure -L "replay|tiers" \
-    -j "$jobs"
+ctest --test-dir build-nosimd --output-on-failure \
+    -L "replay|tiers|figures" -j "$jobs"
 ctest --test-dir build-nosimd --output-on-failure \
     -R "Simd|CompiledLog" -j "$jobs"
 
@@ -146,8 +150,10 @@ mkdir -p build-ci/journals
     --json build-ci/gencheck-temporal-report.json
 # The load-failure exit code must stay distinct from "found errors",
 # for a missing journal and for journals that execute a trace before
-# creating it, use the reserved trace id (the text reader reads -1 as
-# 2^64 - 1) or create a trace in a module that is not loaded.
+# creating it, use the reserved trace id (2^64 - 1), create a trace in
+# a module that is not loaded, or spell a number with a sign (the
+# text reader takes only whole unsigned decimals that fit the field,
+# so -1 is rejected).
 cat >build-ci/journals/exec-before-create.gclog <<'JOURNAL'
 gclog 1
 benchmark broken
@@ -165,8 +171,8 @@ duration_us 6
 footprint_bytes 64
 events 3
 load 0 0 0 1
-create 5 -1 64 1
-exec 6 -1 0 0
+create 5 18446744073709551615 64 1
+exec 6 18446744073709551615 0 0
 JOURNAL
 cat >build-ci/journals/unloaded-module.gclog <<'JOURNAL'
 gclog 1
@@ -177,8 +183,17 @@ events 2
 create 5 42 64 7
 exec 6 42 0 0
 JOURNAL
+cat >build-ci/journals/signed-numbers.gclog <<'JOURNAL'
+gclog 1
+benchmark broken
+duration_us -6
+footprint_bytes 64
+events 2
+load 0 0 0 1
+create 5 42 -1 1
+JOURNAL
 for journal in does-not-exist.gclogb exec-before-create.gclog \
-    reserved-trace.gclog unloaded-module.gclog; do
+    reserved-trace.gclog unloaded-module.gclog signed-numbers.gclog; do
     load_rc=0
     "$root"/build-ci/tools/gencheck \
         --journal "build-ci/journals/$journal" \

@@ -1,6 +1,7 @@
 #include "tracelog/serialize.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -9,6 +10,7 @@
 #include <sstream>
 #include <streambuf>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "support/format.h"
@@ -261,23 +263,42 @@ class ByteReader
     }
 
     /** An empty event vector with room for @p count events, but never
-     *  for more than the buffer reports left at @p min_event_bytes
-     *  each: the count is untrusted, so a corrupt one cannot allocate
-     *  past the stream. */
+     *  for more than bytesLeft() holds at @p min_event_bytes each: the
+     *  count is untrusted, so a corrupt one cannot allocate past the
+     *  stream. */
     std::vector<Event> reserveEvents(std::uint64_t count,
                                      std::size_t min_event_bytes) const
     {
         std::vector<Event> events;
-        std::streamsize left = buf_ == nullptr ? 0 : buf_->in_avail();
-        if (left > 0) {
-            events.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
-                count,
-                static_cast<std::uint64_t>(left) / min_event_bytes)));
-        }
+        events.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
+            count, bytesLeft() / min_event_bytes)));
         return events;
     }
 
   private:
+    /** The bytes between the read position and the stream's end. A
+     *  buffer that can seek is asked by seeking to its end and back: a
+     *  file buffer's in_avail() counts only the block it holds. Any
+     *  other buffer reports in_avail(). */
+    std::uint64_t bytesLeft() const
+    {
+        if (buf_ == nullptr) {
+            return 0;
+        }
+        const std::streampos here =
+            buf_->pubseekoff(0, std::ios::cur, std::ios::in);
+        if (here != std::streampos(-1)) {
+            const std::streampos end =
+                buf_->pubseekoff(0, std::ios::end, std::ios::in);
+            buf_->pubseekpos(here, std::ios::in);
+            if (end != std::streampos(-1) && end >= here) {
+                return static_cast<std::uint64_t>(end - here);
+            }
+        }
+        const std::streamsize available = buf_->in_avail();
+        return available > 0 ? static_cast<std::uint64_t>(available) : 0;
+    }
+
     std::streambuf *buf_;
 };
 
@@ -448,15 +469,59 @@ writeText(const AccessLog &log, std::ostream &out)
 
 namespace {
 
+/** @p token as a whole unsigned decimal that fits T: a sign, a blank,
+ *  trailing junk or an overflow fails. */
+template <typename T>
+bool
+parseUnsigned(const std::string &token, T &value)
+{
+    const char *end = token.data() + token.size();
+    const auto [stop, error] = std::from_chars(token.data(), end, value);
+    return error == std::errc() && stop == end;
+}
+
+/** Read the header line "<name> <number>" into @p value. */
+template <typename T>
+void
+readHeaderNumber(std::istream &in, const char *name, T &value)
+{
+    std::string key;
+    std::string token;
+    in >> key >> token;
+    if (key != name) {
+        parseFail("gclog: expected '{}', got '{}'", name, key);
+    }
+    if (!parseUnsigned(token, value)) {
+        parseFail("gclog: bad {} '{}' (not an unsigned decimal below "
+                  "2^{})",
+                  name, token, 8 * sizeof(T));
+    }
+}
+
+/** Parse @p token, event @p index's @p field, into @p value. */
+template <typename T>
+void
+parseEventNumber(const std::string &token, std::uint64_t index,
+                 const char *field, T &value)
+{
+    if (!parseUnsigned(token, value)) {
+        parseFail("gclog: event {} has bad {} '{}' (not an unsigned "
+                  "decimal below 2^{})",
+                  index, field, token, 8 * sizeof(T));
+    }
+}
+
 AccessLog
 readTextImpl(std::istream &in)
 {
     std::string magic;
+    std::string token;
     std::uint32_t version = 0;
-    in >> magic >> version;
-    if (magic != kTextMagic || version != kTextVersion) {
+    in >> magic >> token;
+    if (magic != kTextMagic || !parseUnsigned(token, version) ||
+        version != kTextVersion) {
         parseFail("not a gclog text file (magic '{}', version {})", magic,
-              version);
+                  token);
     }
 
     AccessLog log;
@@ -470,35 +535,32 @@ readTextImpl(std::istream &in)
     if (key != "benchmark") {
         parseFail("gclog: expected 'benchmark', got '{}'", key);
     }
-    in >> key >> duration;
-    if (key != "duration_us") {
-        parseFail("gclog: expected 'duration_us', got '{}'", key);
-    }
-    in >> key >> footprint;
-    if (key != "footprint_bytes") {
-        parseFail("gclog: expected 'footprint_bytes', got '{}'", key);
-    }
-    in >> key >> count;
-    if (key != "events") {
-        parseFail("gclog: expected 'events', got '{}'", key);
-    }
+    readHeaderNumber(in, "duration_us", duration);
+    readHeaderNumber(in, "footprint_bytes", footprint);
+    readHeaderNumber(in, "events", count);
     if (benchmark != "-") {
         log.setBenchmark(benchmark);
     }
     log.setDuration(duration);
     log.setFootprintBytes(footprint);
 
+    std::string time;
+    std::string trace;
+    std::string size;
+    std::string module;
     for (std::uint64_t i = 0; i < count; ++i) {
-        std::string token;
-        Event event;
-        in >> token >> event.time >> event.trace >> event.sizeBytes >>
-            event.module;
+        in >> token >> time >> trace >> size >> module;
         if (!in) {
             parseFail("gclog: truncated after {} of {} events", i, count);
         }
+        Event event;
         if (!tokenToType(token, event.type)) {
             parseFail("gclog: unknown event type '{}'", token);
         }
+        parseEventNumber(time, i, "time", event.time);
+        parseEventNumber(trace, i, "trace", event.trace);
+        parseEventNumber(size, i, "size", event.sizeBytes);
+        parseEventNumber(module, i, "module", event.module);
         checkTimeOrder(log, event, i);
         log.append(event);
     }

@@ -41,7 +41,10 @@ class ParseError : public std::runtime_error
 void writeText(const AccessLog &log, std::ostream &out);
 
 /** Parse the text format. Calls fatal() on malformed input (these are
- *  user-supplied files). */
+ *  user-supplied files). Every number, in the header and in each
+ *  event, must be one whole unsigned decimal that fits its field: a
+ *  sign, trailing junk or an overflow is malformed, named with its
+ *  field, its event index and the token. */
 AccessLog readText(std::istream &in);
 
 /**
@@ -73,8 +76,10 @@ void writeBinary(const AccessLog &log, std::ostream &out,
  *  @p in's buffer one at a time, and only the log's own: a byte
  *  written after the log is still the stream's next byte. The
  *  header's event count is untrusted, so the event vector is reserved
- *  for no more events than the buffer reports bytes left (in_avail())
- *  at the smallest event size, 3 bytes in v2 and 25 in v1. */
+ *  for no more events than the stream has bytes left at the smallest
+ *  event size, 3 bytes in v2 and 25 in v1. The bytes left are found
+ *  by seeking to the end and back when @p in's buffer can seek (a
+ *  file's buffer holds only one block of it), else from in_avail(). */
 AccessLog readBinary(std::istream &in);
 
 /** Convenience file helpers; format chosen by extension ".gclog"

@@ -3,11 +3,12 @@
  * Unit tests for the access log: event construction, validation,
  * text/binary round trips, and lifetime analysis (Equation 2).
  *
- * The binary codec is pinned by data: committed digests of both
+ * The codec is pinned by data: committed digests of both binary
  * versions' encodings of five logs, and of the outcomes of a fixed
- * budget of seeded corruptions loaded through tryLoadLog. On a
- * mismatch the failure prints the replacement row; an intended
- * change is recorded by pasting it over the old one.
+ * budget of seeded corruptions of binary and text streams loaded
+ * through tryLoadLog. On a mismatch the failure prints the
+ * replacement row; an intended change is recorded by pasting it over
+ * the old one.
  */
 
 #include <gtest/gtest.h>
@@ -160,19 +161,21 @@ TEST(Serialize, FileRoundTripBothFormats)
     }
 }
 
-/** Write a text journal of @p events (@p count of them) to a file
- *  private to this process and return its path. */
+/** Write a text journal of @p events (@p count of them), lasting
+ *  @p duration microseconds, to a file private to this process and
+ *  return its path. */
 std::string
-writeJournal(const std::string &events, std::size_t count)
+writeJournal(const std::string &events, std::size_t count,
+             const char *duration = "10")
 {
     std::string path = ::testing::TempDir() + "gencache_journal_" +
                        std::to_string(getpid()) + ".gclog";
     std::FILE *file = std::fopen(path.c_str(), "w");
     EXPECT_NE(file, nullptr) << path;
     std::fprintf(file,
-                 "gclog 1\nbenchmark journal\nduration_us 10\n"
+                 "gclog 1\nbenchmark journal\nduration_us %s\n"
                  "footprint_bytes 64\nevents %zu\n%s",
-                 count, events.c_str());
+                 duration, count, events.c_str());
     std::fclose(file);
     return path;
 }
@@ -188,6 +191,7 @@ TEST(Serialize, TryLoadLogRejectsBrokenEventSemantics)
         const char *events;
         std::size_t count;
         const char *culprit;
+        const char *duration = "10";
     };
     const Case broken[] = {
         {"exec before create",
@@ -200,10 +204,11 @@ TEST(Serialize, TryLoadLogRejectsBrokenEventSemantics)
          "load 0 0 0 1\nunload 3 0 0 7\n", 2, "module 7"},
         {"time running backwards", "load 5 0 0 1\nload 4 0 0 2\n", 2,
          "earlier"},
-        // The text reader reads -1 as 2^64 - 1, kInvalidTrace.
+        // kInvalidTrace, 2^64 - 1, is a number the text reader takes.
         {"reserved trace id",
-         "load 0 0 0 1\ncreate 1 -1 64 1\nexec 2 -1 0 0\n", 3,
-         "trace 18446744073709551615"},
+         "load 0 0 0 1\ncreate 1 18446744073709551615 64 1\n"
+         "exec 2 18446744073709551615 0 0\n",
+         3, "trace 18446744073709551615"},
         {"load of the reserved module id", "load 0 0 0 4294967295\n", 1,
          "module 4294967295"},
         {"unload of the reserved module id",
@@ -218,9 +223,34 @@ TEST(Serialize, TryLoadLogRejectsBrokenEventSemantics)
         {"create after the module unloaded",
          "load 0 0 0 1\nunload 1 0 0 1\ncreate 2 42 64 1\n", 3,
          "module 1"},
+        // Every number is one whole unsigned decimal that fits its
+        // field: a sign, junk or an overflow names the field, the
+        // event and the token, where it used to wrap or truncate.
+        {"negative time", "load 0 0 0 1\ncreate -5 42 64 1\n", 2,
+         "event 1 has bad time '-5'"},
+        {"negative trace id",
+         "load 0 0 0 1\ncreate 1 -1 64 1\nexec 2 -1 0 0\n", 3,
+         "event 1 has bad trace '-1'"},
+        {"negative size", "load 0 0 0 1\ncreate 5 42 -1 1\n", 2,
+         "event 1 has bad size '-1'"},
+        {"negative module", "load 0 0 0 -1\n", 1,
+         "event 0 has bad module '-1'"},
+        {"plus sign", "load 0 0 0 1\ncreate 5 42 +64 1\n", 2,
+         "event 1 has bad size '+64'"},
+        {"negative zero", "load 0 0 0 1\ncreate 5 42 64 -0\n", 2,
+         "event 1 has bad module '-0'"},
+        {"size of 2^32", "load 0 0 0 1\ncreate 5 42 4294967296 1\n", 2,
+         "event 1 has bad size '4294967296'"},
+        {"trace id of 2^64",
+         "load 0 0 0 1\ncreate 5 18446744073709551616 64 1\n", 2,
+         "event 1 has bad trace '18446744073709551616'"},
+        {"trailing junk", "load 0 0 0 1\ncreate 4x 42 64 1\n", 2,
+         "event 1 has bad time '4x'"},
+        {"negative duration", "load 0 0 0 1\n", 1,
+         "bad duration_us '-6'", "-6"},
     };
     for (const Case &c : broken) {
-        std::string path = writeJournal(c.events, c.count);
+        std::string path = writeJournal(c.events, c.count, c.duration);
         AccessLog log;
         std::string error;
         EXPECT_FALSE(tryLoadLog(path, log, error)) << c.name;
@@ -662,7 +692,7 @@ mutate(std::string &bytes, Rng &rng)
  *  case's outcome, which locates the first case that moved. */
 struct GoldenOutcomes
 {
-    const char *label; ///< "<log> v<version>"
+    const char *label; ///< "<log> v<version>" or "<log> text"
     std::uint64_t digest;
     const char *cases;
 };
@@ -692,84 +722,136 @@ const GoldenOutcomes kGoldenOutcomes[] = {
      "9fbeb8ebbcbeb31db5fbef1f1b7bcbbbae66d6f6fe3b9db7e695bbbb4ebb537c"
      "eb4e9b786ebb60444b7b46edb56b81b3825e101dabdbfbce8bb68643ebb5aee9"
      "b9e83ebb69eb4c58aebb53dc2862bbebb9b0b6bbbcbc"},
+    {"sample text", 0x19826daec001c58f,
+     "f9e8dca1039a79fd98bbcafd0aab48d05c4ada1bf2c4fb5d4b8fa48feabde9a0"
+     "89da7bab9d5f66ab3b2a9f2ebd290d1f12e289d4cbb2fedc255a1259ae1adbbc"
+     "bc9d29ea95e83777bf2cb32e27669d814e821dea3661fdebd2ad22fd3ae5295d"
+     "9a2bbbe9adddb198c61c7be2b4c22eebb3755799de89b1ae78db5a3925dc9cd0"
+     "ffda8cde7ae70b98e5535c87419285c2ed1d689d3de1"},
+    {"solitaire text", 0x424a80a6f1addfb0,
+     "84a0c5d42654852ecbe1836ebb438d8ead288938e8b002a26d6bf34ce1494dd9"
+     "0fc74a3058b444cabc886dd808c890d66eeef60ff527bb88bd13b4c1aba147e9"
+     "cbf308152776e2fd6bd1c34527a169fccae1e47a36b856759cd154d9009e0a62"
+     "a24cb20562cc98253688a85e38f58e28c77c3405b63b8ca1712eedfa7b449640"
+     "f846a6bc6e942a87a471e67cf8f02ed878e8f084f338"},
 };
 
-// A fixed budget of seeded corruptions of four clean streams, each
-// loaded through tryLoadLog from a file: every case must return, and
-// each case's outcome (the loaded log's digest, or the error without
-// the path) must reproduce the committed rows.
+// A fixed budget of seeded corruptions of six clean streams, both
+// binary versions and the text of two logs, each loaded through
+// tryLoadLog from a file: every case must return, and each case's
+// outcome (the loaded log's digest, or the error without the path)
+// must reproduce the committed rows.
 TEST(Serialize, CorruptStreamsMatchCommittedOutcomes)
 {
     constexpr int kCasesPerStream = 300;
-    const std::string path = ::testing::TempDir() + "gencache_corrupt_" +
-                             std::to_string(getpid()) + ".gclogb";
+    const std::string stem = ::testing::TempDir() + "gencache_corrupt_" +
+                             std::to_string(getpid());
     const std::pair<const char *, AccessLog> logs[] = {
         {"sample", sampleLog()},
         {"solitaire", workload::generateWorkload(identity::scaledProfile(
                           workload::findProfile("solitaire"), 0.03))},
     };
-    std::uint64_t seed = 18;
+    // In seed order: the binary streams first, as they were committed
+    // before the text ones.
+    struct Stream
+    {
+        std::string label;
+        std::string bytes;
+        std::string path; ///< its extension picks the reader
+    };
+    std::vector<Stream> streams;
     for (const auto &[name, log] : logs) {
         for (int version : {1, 2}) {
             std::stringstream stream;
             writeBinary(log, stream, version);
-            const std::string clean = stream.str();
-            Rng rng(seed++);
-            identity::Fnv1a digest;
-            std::string cases;
-            std::vector<std::string> described;
-            for (int i = 0; i < kCasesPerStream; ++i) {
-                std::string bytes = clean;
-                const std::string mutation = mutate(bytes, rng);
-                std::ofstream(path, std::ios::binary) << bytes;
-                AccessLog loaded;
-                std::string result;
-                std::uint64_t outcome = 0;
-                if (tryLoadLog(path, loaded, result)) {
-                    outcome = logDigest(loaded);
-                    result = format("loads {} events", loaded.size());
-                } else {
-                    for (auto at = result.find(path);
-                         at != std::string::npos; at = result.find(path)) {
-                        result.erase(at, path.size());
-                    }
-                    identity::Fnv1a hash;
-                    hash.addText(result);
-                    outcome = hash.value();
-                }
-                digest.add(outcome);
-                cases += "0123456789abcdef"[outcome & 0xf];
-                described.push_back(format("case {} ({}): {}, {}", i,
-                                           mutation, result,
-                                           identity::hexDigest(outcome)));
-            }
-            const std::string label =
-                std::string(name) + " v" + std::to_string(version);
-            const GoldenOutcomes *golden =
-                identity::findRow(kGoldenOutcomes, label);
-            if (golden != nullptr && golden->digest == digest.value() &&
-                golden->cases == cases) {
-                continue;
-            }
-            std::size_t first = 0;
-            while (golden != nullptr && first < cases.size() &&
-                   golden->cases[first] == cases[first]) {
-                ++first;
-            }
-            std::string row = "    {\"" + label + "\", " +
-                              identity::hexDigest(digest.value()) + ",";
-            for (std::size_t at = 0; at < cases.size(); at += 64) {
-                row += "\n     \"" + cases.substr(at, 64) + "\"";
-            }
-            ADD_FAILURE() << label << " does not match a committed row; "
-                          << (first < cases.size()
-                                  ? "first differing case: " +
-                                        described[first]
-                                  : "no single case's digit moved")
-                          << ". If the change is intended, its row in "
-                          << "kGoldenOutcomes becomes:\n"
-                          << row << "},";
+            streams.push_back({std::string(name) + " v" +
+                                   std::to_string(version),
+                               stream.str(), stem + ".gclogb"});
         }
+    }
+    for (const auto &[name, log] : logs) {
+        std::stringstream stream;
+        writeText(log, stream);
+        streams.push_back({std::string(name) + " text", stream.str(),
+                           stem + ".gclog"});
+    }
+    std::uint64_t seed = 18;
+    for (const Stream &clean : streams) {
+        const std::string &path = clean.path;
+        Rng rng(seed++);
+        identity::Fnv1a digest;
+        std::string cases;
+        std::vector<std::string> described;
+        for (int i = 0; i < kCasesPerStream; ++i) {
+            std::string bytes = clean.bytes;
+            const std::string mutation = mutate(bytes, rng);
+            std::ofstream(path, std::ios::binary) << bytes;
+            AccessLog loaded;
+            std::string result;
+            std::uint64_t outcome = 0;
+            if (tryLoadLog(path, loaded, result)) {
+                outcome = logDigest(loaded);
+                result = format("loads {} events", loaded.size());
+            } else {
+                for (auto at = result.find(path); at != std::string::npos;
+                     at = result.find(path)) {
+                    result.erase(at, path.size());
+                }
+                identity::Fnv1a hash;
+                hash.addText(result);
+                outcome = hash.value();
+            }
+            digest.add(outcome);
+            cases += "0123456789abcdef"[outcome & 0xf];
+            described.push_back(format("case {} ({}): {}, {}", i, mutation,
+                                       result,
+                                       identity::hexDigest(outcome)));
+        }
+        const GoldenOutcomes *golden =
+            identity::findRow(kGoldenOutcomes, clean.label);
+        if (golden != nullptr && golden->digest == digest.value() &&
+            golden->cases == cases) {
+            continue;
+        }
+        std::size_t first = 0;
+        while (golden != nullptr && first < cases.size() &&
+               golden->cases[first] == cases[first]) {
+            ++first;
+        }
+        std::string row = "    {\"" + clean.label + "\", " +
+                          identity::hexDigest(digest.value()) + ",";
+        for (std::size_t at = 0; at < cases.size(); at += 64) {
+            row += "\n     \"" + cases.substr(at, 64) + "\"";
+        }
+        ADD_FAILURE() << clean.label << " does not match a committed row; "
+                      << (first < cases.size()
+                              ? "first differing case: " + described[first]
+                              : "no single case's digit moved")
+                      << ". If the change is intended, its row in "
+                      << "kGoldenOutcomes becomes:\n"
+                      << row << "},";
+    }
+    std::remove((stem + ".gclogb").c_str());
+    std::remove((stem + ".gclog").c_str());
+}
+
+// A file's buffer reports only the block it holds, so the reader asks
+// the file how many bytes are left: a loaded log's event vector is
+// reserved once, for exactly its events, instead of growing by
+// doubling.
+TEST(Serialize, FileLoadReservesTheEventsOnce)
+{
+    const AccessLog log = workload::generateWorkload(identity::scaledProfile(
+        workload::findProfile("word"), 0.03));
+    ASSERT_GE(log.size(), 100000u);
+    const std::string path = ::testing::TempDir() + "gencache_reserve_" +
+                             std::to_string(getpid()) + ".gclogb";
+    for (int version : {1, 2}) {
+        saveLog(log, path, version);
+        const AccessLog loaded = loadLog(path);
+        EXPECT_EQ(loaded.size(), log.size()) << "v" << version;
+        EXPECT_EQ(loaded.events().capacity(), loaded.size())
+            << "v" << version;
     }
     std::remove(path.c_str());
 }

@@ -161,6 +161,51 @@ findRow(const Row (&table)[N], const std::string &label)
     return nullptr;
 }
 
+/** A committed row of @p N result digests under one label. */
+template <std::size_t N>
+struct DigestRow
+{
+    const char *label;
+    std::array<std::uint64_t, N> digests;
+};
+
+/** @p digests as a DigestRow literal, wrapped at 75 columns. */
+template <std::size_t N>
+std::string
+digestRowText(const std::string &label,
+              const std::array<std::uint64_t, N> &digests)
+{
+    std::string text = "    {\"" + label + "\", {";
+    std::size_t lineStart = 0;
+    for (std::size_t i = 0; i < N; ++i) {
+        const std::string item =
+            hexDigest(digests[i]) + (i + 1 < N ? "," : "}},");
+        if (text.size() - lineStart + 1 + item.size() > 75) {
+            lineStart = text.size() + 1;
+            text += "\n     ";
+        } else if (i > 0) {
+            text += ' ';
+        }
+        text += item;
+    }
+    return text;
+}
+
+/** Expect @p digests to be the committed row of @p table labelled
+ *  @p label; on a mismatch, print the row that would replace it. */
+template <std::size_t N, std::size_t M>
+void
+expectRow(const DigestRow<N> (&table)[M], const char *table_name,
+          const std::string &label,
+          const std::array<std::uint64_t, N> &digests)
+{
+    const DigestRow<N> *golden = findRow(table, label);
+    EXPECT_TRUE(golden != nullptr && golden->digests == digests)
+        << label << " does not match a committed row. If the change "
+        << "is intended, its row in " << table_name << " becomes:\n"
+        << digestRowText(label, digests);
+}
+
 /** @p profile with its volume and duration scaled by @p factor, as
  *  the figure benches and perfbench scale it: the scales the
  *  committed log rows are recorded at. */

@@ -18,9 +18,10 @@
  *
  * <seed> is a whole decimal number; capacityKb a finite number > 0
  * (omit it for the paper's 50%-of-maxCache point). Malformed values
- * and unknown options are usage errors (exit 2). replay drives the
- * per-event CacheSimulator over the loaded log: one pass needs no
- * compiled form.
+ * and unknown options are usage errors (exit 2). replay compiles the
+ * loaded log once and replays it as one-lane blocked passes
+ * (sim::BatchedReplay): the unbounded pre-pass that finds maxCache,
+ * then the unified cache.
  */
 
 #include <cmath>
@@ -32,10 +33,11 @@
 #include "codecache/unified_cache.h"
 #include "guest/synthetic_program.h"
 #include "runtime/runtime.h"
+#include "sim/batched_replay.h"
 #include "sim/experiment.h"
-#include "sim/simulator.h"
 #include "support/format.h"
 #include "support/rng.h"
+#include "tracelog/compiled_log.h"
 #include "tracelog/lifetime.h"
 #include "tracelog/serialize.h"
 #include "workload/generator.h"
@@ -142,18 +144,22 @@ cmdLive(std::uint64_t seed, const std::string &path,
 int
 cmdReplay(const std::string &path, std::uint64_t capacity)
 {
-    tracelog::AccessLog log = tracelog::loadLog(path);
+    const tracelog::CompiledLog compiled =
+        tracelog::CompiledLog::compile(tracelog::loadLog(path));
+    auto replay = [&compiled](cache::TierPipeline &pipeline) {
+        sim::BatchedReplay pass(compiled);
+        pass.addLane(pipeline);
+        return pass.run().front();
+    };
     if (capacity == 0) {
         cache::UnifiedCacheManager unbounded(0);
-        sim::CacheSimulator pre(unbounded);
-        capacity = sim::managedCapacityBytes(pre.run(log).peakBytes);
+        capacity = sim::managedCapacityBytes(replay(unbounded).peakBytes);
     }
 
     cache::UnifiedCacheManager manager(capacity);
-    sim::CacheSimulator simulator(manager);
-    sim::SimResult result = simulator.run(log);
-    std::printf("replayed '%s' against %s\n", log.benchmark().c_str(),
-                manager.name().c_str());
+    sim::SimResult result = replay(manager);
+    std::printf("replayed '%s' against %s\n",
+                compiled.benchmark().c_str(), manager.name().c_str());
     std::printf("lookups %llu, misses %llu (%s), evict+regen "
                 "overhead %s instructions\n",
                 static_cast<unsigned long long>(result.lookups),

@@ -8,6 +8,7 @@
 
 #include "analysis/temporal_passes.h"
 #include "runtime/runtime.h"
+#include "sim/batched_replay.h"
 #include "sim/simulator.h"
 #include "support/logging.h"
 
@@ -110,6 +111,38 @@ attachPhaseChecks(sim::CacheSimulator &simulator)
             runPasses(AnalysisInput::forManager(manager), snapshot,
                       /*cheap_only=*/true);
             enforce(snapshot, "simulator phase boundary");
+            temporal->checkpoint(); // panics itself in enforce mode
+        });
+    return true;
+}
+
+bool
+attachPhaseChecks(sim::BatchedReplay &replay,
+                  cache::TierPipeline &pipeline)
+{
+    if (!checkingEnabled()) {
+        replay.addLane(pipeline);
+        return false;
+    }
+    // Beyond the snapshot passes, GENCACHE_CHECK runs the temporal
+    // invariant engine online: a TemporalChecker rides the lane as its
+    // probe, after the cost accountant, and panics on the first
+    // violation (enforce mode). The checkpoint-hook closure owns it,
+    // so it lives as long as the replay.
+    TemporalOptions options;
+    options.enforce = true;
+    auto engine = std::make_shared<DiagnosticEngine>();
+    auto temporal =
+        std::make_shared<TemporalChecker>(*engine, options);
+    temporal->bindSubject(&pipeline, &replay.log().originalIds());
+    replay.addLane(pipeline, temporal.get());
+    replay.setCheckpointHook(
+        [engine, temporal](const cache::CacheManager &manager,
+                           TimeUs) {
+            DiagnosticEngine snapshot;
+            runPasses(AnalysisInput::forManager(manager), snapshot,
+                      /*cheap_only=*/true);
+            enforce(snapshot, "replay phase boundary");
             temporal->checkpoint(); // panics itself in enforce mode
         });
     return true;

@@ -21,7 +21,12 @@
 
 #include "analysis/pass.h"
 
+namespace gencache::cache {
+class TierPipeline;
+} // namespace gencache::cache
+
 namespace gencache::sim {
+class BatchedReplay;
 class CacheSimulator;
 } // namespace gencache::sim
 
@@ -49,6 +54,18 @@ bool attachPhaseChecks(runtime::Runtime &runtime);
 
 /** Same, for a trace-driven simulation. */
 bool attachPhaseChecks(sim::CacheSimulator &simulator);
+
+/**
+ * Register @p pipeline as a lane of the one-lane replay @p replay.
+ * When checking is enabled, the lane carries a TemporalChecker in
+ * enforce mode as its probe, and @p replay's checkpoint hook runs the
+ * cheap passes and the checker's cross-checks at every module event
+ * and at the end of the run, panicking on the first error; without
+ * checking the lane is plain. Call before any other lane is added.
+ * @return true when the checks were installed.
+ */
+bool attachPhaseChecks(sim::BatchedReplay &replay,
+                       cache::TierPipeline &pipeline);
 
 } // namespace gencache::analysis
 

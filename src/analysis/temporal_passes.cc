@@ -1,6 +1,6 @@
 #include "analysis/temporal_passes.h"
 
-#include "sim/simulator.h"
+#include "sim/batched_replay.h"
 #include "support/format.h"
 #include "support/logging.h"
 
@@ -35,9 +35,25 @@ TemporalChecker::TemporalChecker(DiagnosticEngine &out,
 }
 
 void
-TemporalChecker::bindSubject(const cache::TierPipeline *pipeline)
+TemporalChecker::bindSubject(const cache::TierPipeline *pipeline,
+                             const std::vector<cache::TraceId> *original_ids)
 {
     subject_ = pipeline;
+    originalIds_ = pipeline == nullptr ? nullptr : original_ids;
+}
+
+cache::TraceId
+TemporalChecker::shownId(cache::TraceId id) const
+{
+    return originalIds_ != nullptr && id < originalIds_->size()
+               ? (*originalIds_)[id]
+               : id;
+}
+
+std::string
+TemporalChecker::traceLocation(cache::TraceId id) const
+{
+    return format("trace {}", shownId(id));
 }
 
 int
@@ -115,7 +131,7 @@ TemporalChecker::expectNoPendingPromotion(const char *context)
         return;
     }
     report("tmp-promote-protocol",
-           format("trace {}", pendingPromotion_.id),
+           traceLocation(pendingPromotion_.id),
            format("PromotionMove eviction from {} not followed by its "
                   "onPromote (next event: {})",
                   cache::generationName(pendingPromotion_.from),
@@ -138,7 +154,7 @@ TemporalChecker::checkSidecar(cache::TraceId id, cache::Generation gen,
         expect_resident ? static_cast<std::uint8_t>(tier + 1) : 0;
     const cache::TierPipeline::HotSlot slot = subject_->fastSlotOf(id);
     if (slot.tierPlusOne != want) {
-        report("tmp-sidecar-desync", format("trace {}", id),
+        report("tmp-sidecar-desync", traceLocation(id),
                format("hot slot holds tier+1 {} but {} implies {} "
                       "(pending delta {})",
                       slot.tierPlusOne, context, want, slot.delta));
@@ -152,7 +168,7 @@ TemporalChecker::onMiss(cache::TraceId id, TimeUs now)
     expectNoPendingPromotion("miss");
     ++misses_;
     if (resident_.find(id) != resident_.end()) {
-        report("tmp-miss-resident", format("trace {}", id),
+        report("tmp-miss-resident", traceLocation(id),
                format("miss reported while resident in {}",
                       cache::generationName(resident_[id].gen)));
     }
@@ -167,13 +183,13 @@ TemporalChecker::onHit(cache::TraceId id, cache::Generation gen,
     flow_[gen].hits += 1;
     auto it = resident_.find(id);
     if (it == resident_.end()) {
-        report("tmp-use-after-evict", format("trace {}", id),
+        report("tmp-use-after-evict", traceLocation(id),
                format("hit in {} but the trace is not resident",
                       cache::generationName(gen)));
         return;
     }
     if (it->second.gen != gen) {
-        report("tmp-hit-tier-mismatch", format("trace {}", id),
+        report("tmp-hit-tier-mismatch", traceLocation(id),
                format("hit names {} but the trace resides in {}",
                       cache::generationName(gen),
                       cache::generationName(it->second.gen)));
@@ -188,14 +204,14 @@ TemporalChecker::onInsert(const cache::Fragment &frag,
     expectNoPendingPromotion("insert");
     auto it = resident_.find(frag.id);
     if (it != resident_.end()) {
-        report("tmp-double-residency", format("trace {}", frag.id),
+        report("tmp-double-residency", traceLocation(frag.id),
                format("inserted into {} while already resident in {}",
                       cache::generationName(gen),
                       cache::generationName(it->second.gen)));
     }
     if (subject_ != nullptr) {
         if (tierIndexOf(gen) != 0) {
-            report("tmp-insert-tier", format("trace {}", frag.id),
+            report("tmp-insert-tier", traceLocation(frag.id),
                    format("fresh insert into {} but the pipeline's "
                           "entry tier is {}",
                           cache::generationName(gen),
@@ -205,7 +221,7 @@ TemporalChecker::onInsert(const cache::Fragment &frag,
         sawInsert_ = true;
         entryGen_ = gen;
     } else if (gen != entryGen_) {
-        report("tmp-insert-tier", format("trace {}", frag.id),
+        report("tmp-insert-tier", traceLocation(frag.id),
                format("fresh insert into {} but earlier inserts "
                       "entered at {}",
                       cache::generationName(gen),
@@ -225,7 +241,7 @@ TemporalChecker::onEvict(const cache::Fragment &frag,
     expectNoPendingPromotion("evict");
     auto it = resident_.find(frag.id);
     if (it == resident_.end()) {
-        report("tmp-evict-absent", format("trace {}", frag.id),
+        report("tmp-evict-absent", traceLocation(frag.id),
                format("evicted from {} ({}) but the trace is not "
                       "resident",
                       cache::generationName(gen),
@@ -233,7 +249,7 @@ TemporalChecker::onEvict(const cache::Fragment &frag,
         return;
     }
     if (it->second.gen != gen) {
-        report("tmp-evict-tier-mismatch", format("trace {}", frag.id),
+        report("tmp-evict-tier-mismatch", traceLocation(frag.id),
                format("evicted from {} ({}) but the trace resides "
                       "in {}",
                       cache::generationName(gen),
@@ -270,14 +286,14 @@ TemporalChecker::onPromote(const cache::Fragment &frag,
     noteEvent(now);
     if (!pendingPromotion_.active || pendingPromotion_.id != frag.id ||
         pendingPromotion_.from != from) {
-        report("tmp-promote-protocol", format("trace {}", frag.id),
+        report("tmp-promote-protocol", traceLocation(frag.id),
                pendingPromotion_.active
                    ? format("onPromote {} -> {} does not match the "
                             "pending PromotionMove eviction of trace "
                             "{} from {}",
                             cache::generationName(from),
                             cache::generationName(to),
-                            pendingPromotion_.id,
+                            shownId(pendingPromotion_.id),
                             cache::generationName(pendingPromotion_.from))
                    : format("onPromote {} -> {} without a preceding "
                             "PromotionMove eviction",
@@ -290,7 +306,7 @@ TemporalChecker::onPromote(const cache::Fragment &frag,
         const int src = tierIndexOf(from);
         const int dst = tierIndexOf(to);
         if (src < 0 || dst < 0 || dst != src + 1) {
-            report("tmp-promote-order", format("trace {}", frag.id),
+            report("tmp-promote-order", traceLocation(frag.id),
                    format("promotion {} -> {} is not a one-tier "
                           "advance of pipeline '{}'",
                           cache::generationName(from),
@@ -298,7 +314,7 @@ TemporalChecker::onPromote(const cache::Fragment &frag,
                           subject_->name()));
         }
     } else if (generationRank(to) <= generationRank(from)) {
-        report("tmp-promote-order", format("trace {}", frag.id),
+        report("tmp-promote-order", traceLocation(frag.id),
                format("promotion {} -> {} moves against the cascade "
                       "order",
                       cache::generationName(from),
@@ -331,7 +347,7 @@ TemporalChecker::onModuleUnload(cache::ModuleId module, TimeUs now)
             continue;
         }
         ++leaked;
-        report("tmp-unload-incomplete", format("trace {}", id),
+        report("tmp-unload-incomplete", traceLocation(id),
                format("still resident in {} at the unload marker of "
                       "module {}",
                       cache::generationName(state.gen), module));
@@ -447,7 +463,7 @@ TemporalChecker::checkResidencyAgainstSubject()
     const cache::TierPipeline &pipe = *subject_;
     for (const auto &[id, state] : resident_) {
         if (!pipe.contains(id)) {
-            report("tmp-leak", format("trace {}", id),
+            report("tmp-leak", traceLocation(id),
                    format("event stream left it resident in {} but "
                           "the pipeline no longer holds it",
                           cache::generationName(state.gen)));
@@ -455,7 +471,7 @@ TemporalChecker::checkResidencyAgainstSubject()
         }
         const std::size_t tier = pipe.tierOf(id);
         if (pipe.tierLabel(tier) != state.gen) {
-            report("tmp-leak", format("trace {}", id),
+            report("tmp-leak", traceLocation(id),
                    format("event stream places it in {} but the "
                           "pipeline holds it in {}",
                           cache::generationName(state.gen),
@@ -465,7 +481,7 @@ TemporalChecker::checkResidencyAgainstSubject()
     for (std::size_t i = 0; i < pipe.tierCount(); ++i) {
         pipe.tierCache(i).forEach([&](const cache::Fragment &frag) {
             if (resident_.find(frag.id) == resident_.end()) {
-                report("tmp-leak", format("trace {}", frag.id),
+                report("tmp-leak", traceLocation(frag.id),
                        format("resident in {} but the event stream "
                               "never saw it enter",
                               cache::generationName(pipe.tierLabel(i))));
@@ -509,13 +525,19 @@ runTemporalReplay(const tracelog::AccessLog &log,
                   cache::CacheManager &manager, DiagnosticEngine &out,
                   TemporalOptions options)
 {
+    auto *pipeline = dynamic_cast<cache::TierPipeline *>(&manager);
+    if (pipeline == nullptr) {
+        GENCACHE_PANIC("runTemporalReplay needs a TierPipeline, got {}",
+                       manager.name());
+    }
+    const tracelog::CompiledLog compiled =
+        tracelog::CompiledLog::compile(log);
     TemporalChecker checker(out, options);
-    checker.bindSubject(dynamic_cast<const cache::TierPipeline *>(&manager));
-    sim::CacheSimulator simulator(manager);
-    simulator.setProbeListener(&checker);
-    simulator.run(log);
+    checker.bindSubject(pipeline, &compiled.originalIds());
+    sim::BatchedReplay replay(compiled);
+    replay.addLane(*pipeline, &checker);
+    replay.run();
     checker.finish();
-    simulator.setProbeListener(nullptr);
     return checker.eventCount();
 }
 

@@ -6,11 +6,11 @@
  * transiently violates a lifecycle invariant *between* snapshots
  * passes them clean. TemporalChecker closes that gap: it is a
  * CacheEventListener that consumes the manager's event stream —
- * online under GENCACHE_CHECK (attachPhaseChecks tees it beside the
- * simulator's cost accountant) or offline over a recorded gclog
- * journal replay (gencheck --journal) — and maintains a per-trace
- * lifecycle state machine checking LTL-style properties with stable
- * `tmp-*` IDs:
+ * online under GENCACHE_CHECK (attachPhaseChecks tees it in as a
+ * replay lane's probe, after the lane's cost accountant) or offline
+ * over a recorded gclog journal replay (gencheck --journal) — and
+ * maintains a per-trace lifecycle state machine checking LTL-style
+ * properties with stable `tmp-*` IDs:
  *
  *  - residency: no hit after evict, no miss while resident, no
  *    double-residency across tiers, evictions only of residents, and
@@ -85,9 +85,9 @@ struct TemporalOptions
 /**
  * Per-trace lifecycle state machine over a cache event stream.
  *
- * Attach with CacheManager::setListener (or through
- * CacheSimulator::setProbeListener to keep the cost accountant), feed
- * it a run, then call finish(). checkpoint() runs the non-destructive
+ * Attach with CacheManager::setListener (or as the probe of a
+ * sim::BatchedReplay lane, which keeps the lane's cost accountant),
+ * feed it a run, then call finish(). checkpoint() runs the non-destructive
  * cross-checks alone and is safe at any event boundary (the
  * GENCACHE_CHECK phase hook calls it at module load/unload edges).
  */
@@ -99,8 +99,13 @@ class TemporalChecker : public cache::CacheEventListener
 
     /** Cross-validate against @p pipeline (residency, stats
      *  conservation, sidecar slots). The checker must see every event
-     *  from the pipeline's empty state on; nullptr unbinds. */
-    void bindSubject(const cache::TierPipeline *pipeline);
+     *  from the pipeline's empty state on; nullptr unbinds. When the
+     *  pipeline replays a CompiledLog, its events carry dense ids:
+     *  pass the log's originalIds() as @p original_ids (not owned)
+     *  and diagnostics quote the ids of the source log instead. */
+    void bindSubject(const cache::TierPipeline *pipeline,
+                     const std::vector<cache::TraceId> *original_ids =
+                         nullptr);
 
     const cache::TierPipeline *subject() const { return subject_; }
 
@@ -168,6 +173,10 @@ class TemporalChecker : public cache::CacheEventListener
 
     void report(std::string_view check_id, std::string location,
                 std::string message);
+    /** @p id as the source log spells it (see bindSubject). */
+    cache::TraceId shownId(cache::TraceId id) const;
+    /** "trace <id>" in the source log's ids: a finding's location. */
+    std::string traceLocation(cache::TraceId id) const;
     void noteEvent(TimeUs now);
     /** tmp-promote-protocol when a PromotionMove evict was not
      *  followed immediately by its onPromote. */
@@ -183,6 +192,7 @@ class TemporalChecker : public cache::CacheEventListener
     DiagnosticEngine &out_;
     TemporalOptions options_;
     const cache::TierPipeline *subject_ = nullptr;
+    const std::vector<cache::TraceId> *originalIds_ = nullptr;
 
     std::unordered_map<cache::TraceId, TraceState> resident_;
     std::map<cache::Generation, TierFlow> flow_;
@@ -207,12 +217,12 @@ class TemporalChecker : public cache::CacheEventListener
 int generationRank(cache::Generation gen);
 
 /**
- * Offline temporal check: replay @p log against @p manager with a
- * TemporalChecker attached as the simulator's probe listener
- * (gencheck --journal). When the manager is a TierPipeline (every
- * production manager is) the checker binds it as its subject and runs
- * the full cross-validation; finish() is called at the end of the
- * replay. Findings land in @p out.
+ * Offline temporal check: compile @p log and replay it against
+ * @p manager, which must be a TierPipeline (every production manager
+ * is), as a one-lane blocked pass (sim::BatchedReplay) with a
+ * TemporalChecker bound to the pipeline and teed in as the lane's
+ * probe (gencheck --journal). Findings quote the log's own trace ids
+ * and land in @p out; finish() is called at the end of the replay.
  *
  * @return the number of cache events the checker observed.
  */

@@ -15,13 +15,15 @@ BatchedReplay::BatchedReplay(const tracelog::CompiledLog &log)
 BatchedReplay::~BatchedReplay() = default;
 
 std::size_t
-BatchedReplay::addLane(cache::TierPipeline &pipeline)
+BatchedReplay::addLane(cache::TierPipeline &pipeline,
+                       cache::CacheEventListener *probe)
 {
     if (begun_) {
         GENCACHE_PANIC("addLane() after begin()");
     }
     Lane lane;
     lane.pipeline = &pipeline;
+    lane.probe = probe;
     lane.result.benchmark = log_.benchmark();
     lane.result.manager = pipeline.name();
     lanes_.push_back(std::move(lane));
@@ -293,7 +295,15 @@ BatchedReplay::begin()
     for (Lane &lane : lanes_) {
         lane.pipeline->prepareDenseIds(log_.traceCount());
         lane.account = std::make_unique<TableOverheadListener>(*tables);
-        lane.pipeline->setListener(lane.account.get());
+        if (lane.probe != nullptr) {
+            lane.tee = std::make_unique<cache::TeeListener>(
+                *lane.account, *lane.probe);
+            lane.pipeline->setListener(lane.tee.get());
+        } else {
+            lane.pipeline->setListener(lane.account.get());
+        }
+        // After the listener: a probe that wants hits or misses makes
+        // the pipeline decline the sidecar.
         lane.fast = lane.pipeline->enableFastReplay(log_.traceCount());
     }
 }
@@ -344,6 +354,8 @@ BatchedReplay::finish()
         }
         lane.result.managerStats = lane.pipeline->stats();
         lane.result.overhead = lane.account->breakdown();
+        // The listeners die with the replay; leave none dangling.
+        lane.pipeline->setListener(nullptr);
         results.push_back(lane.result);
     }
     return results;

@@ -73,12 +73,21 @@ class BatchedReplay
     /**
      * Register @p pipeline as a replay lane and return its lane index.
      * When the replay begins it installs the lane's table-priced cost
-     * accounting as the pipeline's event listener. Pipelines must be
-     * freshly constructed: the replay switches their residency
-     * indexes to dense storage via prepareDenseIds(). Panics once the
-     * replay has begun.
+     * accounting as the pipeline's event listener, with @p probe (not
+     * owned; it must outlive the replay) teed in after it through a
+     * cache::TeeListener. The probe sees the log's dense trace ids;
+     * log().originalIds() maps them back to the ids of the source
+     * log. A probe that wants hit or miss events keeps its lane off
+     * the fast-replay sidecar path. Pipelines must be freshly
+     * constructed: the replay switches their residency indexes to
+     * dense storage via prepareDenseIds(). Panics once the replay has
+     * begun.
      */
-    std::size_t addLane(cache::TierPipeline &pipeline);
+    std::size_t addLane(cache::TierPipeline &pipeline,
+                        cache::CacheEventListener *probe = nullptr);
+
+    /** The compiled log this replay streams. */
+    const tracelog::CompiledLog &log() const { return log_; }
 
     /**
      * Install @p hook to run per lane at replay phase boundaries
@@ -135,8 +144,10 @@ class BatchedReplay
     struct Lane
     {
         cache::TierPipeline *pipeline = nullptr;
+        cache::CacheEventListener *probe = nullptr;
         bool fast = false; ///< pipeline accepted enableFastReplay()
         std::unique_ptr<TableOverheadListener> account;
+        std::unique_ptr<cache::TeeListener> tee; ///< account, then probe
         SimResult result;
     };
 

@@ -1,7 +1,10 @@
 /**
  * @file
  * Unit tests for the Table 2 cost model: the paper's published values
- * for the 242-byte median trace, and the OverheadAccount listener.
+ * for the 242-byte median trace, and the §6.2 pricing rules of
+ * sim::TableOverheadListener, the replay's cost accountant. (The
+ * OverheadAccount suite keeps the name of the formula-priced listener
+ * these rules were first written for.)
  */
 
 #include <gtest/gtest.h>
@@ -9,9 +12,37 @@
 #include "codecache/generational_cache.h"
 #include "codecache/unified_cache.h"
 #include "costmodel/cost_model.h"
+#include "sim/batched_replay.h"
+#include "sim/cost_tables.h"
+#include "tracelog/compiled_log.h"
 
 namespace gencache::cost {
 namespace {
+
+using sim::TableOverheadListener;
+
+/** A tiny log creating four 60-byte traces: its dense ids are 0-3. */
+tracelog::AccessLog
+sixtyByteLog()
+{
+    tracelog::AccessLog log;
+    log.setBenchmark("sixty");
+    log.append(tracelog::Event::moduleLoad(0, 0));
+    for (cache::TraceId id = 0; id < 4; ++id) {
+        log.append(tracelog::Event::traceCreate(id + 1, id, 60, 0));
+    }
+    log.setDuration(5);
+    return log;
+}
+
+/** Cost tables of sixtyByteLog(): the listener prices a fragment by
+ *  its dense id, so the managers below insert ids 0-3. */
+sim::CostTables
+sixtyByteTables(const CostModel &model)
+{
+    return sim::CostTables::build(
+        tracelog::CompiledLog::compile(sixtyByteLog()), model);
+}
 
 TEST(CostModel, PaperValuesForMedianTrace)
 {
@@ -60,7 +91,8 @@ TEST(CostModel, FormulasScaleWithSize)
 TEST(OverheadAccount, ChargesUnifiedInsertAndEviction)
 {
     CostModel model;
-    OverheadAccount account(model);
+    const sim::CostTables tables = sixtyByteTables(model);
+    TableOverheadListener account(tables);
     cache::UnifiedCacheManager manager(100);
     manager.setListener(&account);
 
@@ -79,7 +111,8 @@ TEST(OverheadAccount, ChargesUnifiedInsertAndEviction)
 TEST(OverheadAccount, ChargesPromotionsNotPromotionMoves)
 {
     CostModel model;
-    OverheadAccount account(model);
+    const sim::CostTables tables = sixtyByteTables(model);
+    TableOverheadListener account(tables);
     cache::GenerationalConfig config;
     config.nurseryBytes = 100;
     config.probationBytes = 100;
@@ -103,7 +136,8 @@ TEST(OverheadAccount, ChargesPromotionsNotPromotionMoves)
 TEST(OverheadAccount, ChargesRejectionAsEviction)
 {
     CostModel model;
-    OverheadAccount account(model);
+    const sim::CostTables tables = sixtyByteTables(model);
+    TableOverheadListener account(tables);
     cache::GenerationalConfig config;
     config.nurseryBytes = 100;
     config.probationBytes = 100;
@@ -120,13 +154,25 @@ TEST(OverheadAccount, ChargesRejectionAsEviction)
 
 TEST(OverheadAccount, ResetClears)
 {
-    OverheadAccount account;
-    cache::UnifiedCacheManager manager(1000);
-    manager.setListener(&account);
-    manager.insert(1, 60, 0, 0);
-    EXPECT_GT(account.breakdown().total(), 0u);
-    account.reset();
-    EXPECT_EQ(account.breakdown().total(), 0u);
+    // Each replay installs a fresh accountant, so a second replay of
+    // the same log starts from zero and reports the same breakdown.
+    const tracelog::CompiledLog compiled =
+        tracelog::CompiledLog::compile(sixtyByteLog());
+    OverheadBreakdown breakdowns[2];
+    for (OverheadBreakdown &breakdown : breakdowns) {
+        cache::UnifiedCacheManager manager(100);
+        sim::BatchedReplay replay(compiled);
+        replay.addLane(manager);
+        breakdown = replay.run().front().overhead;
+    }
+    EXPECT_GT(breakdowns[0].total(), 0u);
+    EXPECT_EQ(breakdowns[0].traceGeneration,
+              breakdowns[1].traceGeneration);
+    EXPECT_EQ(breakdowns[0].contextSwitches,
+              breakdowns[1].contextSwitches);
+    EXPECT_EQ(breakdowns[0].evictions, breakdowns[1].evictions);
+    EXPECT_EQ(breakdowns[0].promotions, breakdowns[1].promotions);
+    EXPECT_EQ(breakdowns[0].copies, breakdowns[1].copies);
 }
 
 TEST(OverheadBreakdown, TotalSumsCategories)

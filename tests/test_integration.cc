@@ -1,7 +1,7 @@
 /**
  * @file
  * Integration tests across the whole stack: synthetic guest programs
- * executed by the runtime, logs replayed by the simulator, and the
+ * executed by the runtime, logs replayed by the blocked kernel, and the
  * full experiment pipeline on real profiles.
  */
 
@@ -14,8 +14,8 @@
 #include "codecache/unified_cache.h"
 #include "guest/synthetic_program.h"
 #include "runtime/runtime.h"
+#include "sim/batched_replay.h"
 #include "sim/experiment.h"
-#include "sim/simulator.h"
 #include "sim_identity.h"
 #include "tracelog/lifetime.h"
 #include "tracelog/serialize.h"
@@ -24,6 +24,18 @@
 
 namespace gencache {
 namespace {
+
+/** Replay @p log against @p pipeline as a one-lane blocked pass. */
+sim::SimResult
+replayOneLane(const tracelog::AccessLog &log,
+              cache::TierPipeline &pipeline)
+{
+    const tracelog::CompiledLog compiled =
+        tracelog::CompiledLog::compile(log);
+    sim::BatchedReplay replay(compiled);
+    replay.addLane(pipeline);
+    return replay.run().front();
+}
 
 /** Run a synthetic program under the runtime and return its log. */
 tracelog::AccessLog
@@ -62,8 +74,7 @@ TEST(Integration, LiveLogReplaysWithConsistentBehaviour)
     log.validate();
 
     cache::UnifiedCacheManager replay_manager(0);
-    sim::CacheSimulator simulator(replay_manager);
-    sim::SimResult result = simulator.run(log);
+    sim::SimResult result = replayOneLane(log, replay_manager);
     EXPECT_EQ(result.misses, 0u);
     EXPECT_EQ(result.createdTraces, log.createdTraceCount());
 }
@@ -79,12 +90,10 @@ TEST(Integration, LiveLogSurvivesSerializationRoundTrip)
     loaded.validate();
 
     cache::UnifiedCacheManager replay_a(64 * kKiB);
-    sim::CacheSimulator sim_a(replay_a);
-    sim::SimResult result_a = sim_a.run(log);
+    sim::SimResult result_a = replayOneLane(log, replay_a);
 
     cache::UnifiedCacheManager replay_b(64 * kKiB);
-    sim::CacheSimulator sim_b(replay_b);
-    sim::SimResult result_b = sim_b.run(loaded);
+    sim::SimResult result_b = replayOneLane(loaded, replay_b);
 
     identity::expectIdentical(result_a, result_b, "round trip");
 }

@@ -1,7 +1,9 @@
 /**
  * @file
- * Unit tests for the trace-driven simulator and the experiment runner
- * (§6 methodology).
+ * Unit tests for trace-driven replay (one-lane blocked passes of
+ * sim::BatchedReplay; the CacheSimulator suite keeps the name of the
+ * per-event loop these semantics were first written against) and the
+ * experiment runner (§6 methodology).
  */
 
 #include <gtest/gtest.h>
@@ -10,17 +12,29 @@
 
 #include "analysis/checker.h"
 #include "codecache/generational_cache.h"
-#include "sim/sweep.h"
 #include "codecache/unified_cache.h"
+#include "sim/batched_replay.h"
 #include "sim/experiment.h"
-#include "sim/simulator.h"
+#include "sim/sweep.h"
+#include "tracelog/compiled_log.h"
 #include "workload/generator.h"
 
 namespace gencache::sim {
 namespace {
 
 using tracelog::AccessLog;
+using tracelog::CompiledLog;
 using tracelog::Event;
+
+/** Replay @p log against @p pipeline as a one-lane blocked pass. */
+SimResult
+replayOneLane(const AccessLog &log, cache::TierPipeline &pipeline)
+{
+    const CompiledLog compiled = CompiledLog::compile(log);
+    BatchedReplay replay(compiled);
+    replay.addLane(pipeline);
+    return replay.run().front();
+}
 
 AccessLog
 hotColdLog()
@@ -46,8 +60,7 @@ hotColdLog()
 TEST(CacheSimulator, UnboundedHasOnlyCompulsoryBehaviour)
 {
     cache::UnifiedCacheManager manager(0);
-    CacheSimulator simulator(manager);
-    SimResult result = simulator.run(hotColdLog());
+    SimResult result = replayOneLane(hotColdLog(), manager);
     EXPECT_EQ(result.misses, 0u);
     EXPECT_EQ(result.regenerations, 0u);
     EXPECT_EQ(result.createdTraces, 201u);
@@ -57,8 +70,7 @@ TEST(CacheSimulator, UnboundedHasOnlyCompulsoryBehaviour)
 TEST(CacheSimulator, PressuredUnifiedCacheMisses)
 {
     cache::UnifiedCacheManager manager(1'000); // holds 10 traces
-    CacheSimulator simulator(manager);
-    SimResult result = simulator.run(hotColdLog());
+    SimResult result = replayOneLane(hotColdLog(), manager);
     EXPECT_GT(result.misses, 0u);
     EXPECT_GT(result.missRate(), 0.0);
     EXPECT_GT(result.regenerations, 0u);
@@ -72,16 +84,16 @@ TEST(CacheSimulator, GenerationalProtectsHotTrace)
     std::uint64_t total = 1'000;
 
     cache::UnifiedCacheManager unified(total);
-    CacheSimulator unified_sim(unified);
-    SimResult unified_result = unified_sim.run(hotColdLog());
+    SimResult unified_result = replayOneLane(hotColdLog(), unified);
 
     cache::GenerationalConfig config =
         cache::GenerationalConfig::fromProportions(total, 0.45, 0.10,
                                                    1);
     cache::GenerationalCacheManager generational(config);
-    CacheSimulator generational_sim(generational);
-    analysis::attachPhaseChecks(generational_sim);
-    SimResult generational_result = generational_sim.run(hotColdLog());
+    const CompiledLog compiled = CompiledLog::compile(hotColdLog());
+    BatchedReplay checked(compiled);
+    analysis::attachPhaseChecks(checked, generational);
+    SimResult generational_result = checked.run().front();
 
     EXPECT_LT(generational_result.misses, unified_result.misses);
 }
@@ -98,11 +110,12 @@ TEST(CacheSimulator, ModuleUnloadForcesEvictions)
     log.append(Event::moduleUnload(3, 1));
 
     cache::UnifiedCacheManager manager(0);
-    CacheSimulator simulator(manager);
+    const CompiledLog compiled = CompiledLog::compile(log);
+    BatchedReplay replay(compiled);
     // Under GENCACHE_CHECK=1 the cheap analysis passes re-verify the
     // cache storage after every module load/unload replayed here.
-    analysis::attachPhaseChecks(simulator);
-    SimResult result = simulator.run(log);
+    analysis::attachPhaseChecks(replay, manager);
+    SimResult result = replay.run().front();
     EXPECT_EQ(result.managerStats.unmapDeletions, 1u);
     EXPECT_FALSE(manager.contains(1));
 }
@@ -123,8 +136,7 @@ TEST(CacheSimulator, PinPreventsEviction)
     log.append(Event::traceExec(7, 1));
 
     cache::UnifiedCacheManager manager(100);
-    CacheSimulator simulator(manager);
-    SimResult result = simulator.run(log);
+    SimResult result = replayOneLane(log, manager);
     EXPECT_EQ(result.misses, 0u); // pinned trace survived
 }
 
@@ -145,8 +157,7 @@ TEST(CacheSimulator, MissRegenerationRestoresPinState)
     log.append(Event::traceExec(7, 1)); // must still be resident
 
     cache::UnifiedCacheManager manager(100);
-    CacheSimulator simulator(manager);
-    SimResult result = simulator.run(log);
+    SimResult result = replayOneLane(log, manager);
     EXPECT_EQ(result.misses, 1u);
 }
 
@@ -208,8 +219,7 @@ TEST(ExperimentRunner, LayoutConfigSplitsTotalExactly)
 TEST(CacheSimulator, RegenerationsNeverExceedMisses)
 {
     cache::UnifiedCacheManager manager(1'000);
-    CacheSimulator simulator(manager);
-    SimResult result = simulator.run(hotColdLog());
+    SimResult result = replayOneLane(hotColdLog(), manager);
     EXPECT_LE(result.regenerations, result.misses);
     EXPECT_EQ(result.lookups, result.hits + result.misses);
 }
@@ -239,10 +249,12 @@ TEST(ExperimentRunner, EagerPromotesAtLeastAsManyTraces)
     eager.label = "eager";
     eager.eagerPromotion = true;
 
-    SimResult lazy_result = runner.runGenerational(capacity, lazy);
-    SimResult eager_result = runner.runGenerational(capacity, eager);
-    EXPECT_GE(eager_result.managerStats.promotions,
-              lazy_result.managerStats.promotions);
+    std::vector<SimResult> results =
+        runner.runGenerationalBatch(capacity, {lazy, eager});
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(results[0].manager, "lazy");
+    EXPECT_GE(results[1].managerStats.promotions,
+              results[0].managerStats.promotions);
 }
 
 TEST(Sweep, GridShapeAndBest)

@@ -8,6 +8,8 @@
 
 #include <cstdlib>
 #include <functional>
+#include <iterator>
+#include <memory>
 #include <sstream>
 #include <vector>
 
@@ -16,8 +18,9 @@
 #include "codecache/generational_cache.h"
 #include "codecache/tier_pipeline.h"
 #include "codecache/unified_cache.h"
-#include "sim/simulator.h"
+#include "sim/batched_replay.h"
 #include "support/units.h"
+#include "tracelog/compiled_log.h"
 #include "tracelog/serialize.h"
 #include "workload/generator.h"
 #include "workload/profile.h"
@@ -362,20 +365,22 @@ smallProfile(const char *name)
     return profile;
 }
 
-/** Replay mpeg (has module unloads) against a generational pipeline,
- *  recording both the event stream and the final pipeline. */
+/** Replay mpeg (has module unloads) against a generational pipeline
+ *  as a one-lane pass, recording both the event stream (in the
+ *  compiled log's dense ids, the ids the pipeline holds) and the
+ *  final pipeline. */
 struct RecordedRun
 {
     RecordedRun()
         : manager(cache::GenerationalConfig::fromProportions(
               64 * kKiB, 0.45, 0.10, /*threshold=*/1))
     {
-        tracelog::AccessLog log =
-            workload::generateWorkload(smallProfile("mpeg"));
-        sim::CacheSimulator simulator(manager);
-        simulator.setProbeListener(&recorder);
-        simulator.run(log);
-        simulator.setProbeListener(nullptr);
+        const tracelog::CompiledLog compiled =
+            tracelog::CompiledLog::compile(
+                workload::generateWorkload(smallProfile("mpeg")));
+        sim::BatchedReplay replay(compiled);
+        replay.addLane(manager, &recorder);
+        replay.run();
     }
 
     cache::GenerationalCacheManager manager;
@@ -625,19 +630,46 @@ TEST(TemporalSidecar, DesyncDetectedOnFabricatedInsert)
 // replays (online mode); test_sim covers the GENCACHE_CHECK hook.
 // ---------------------------------------------------------------
 
+/** @p profile at the golden sweeps' size: a quarter of its volume
+ *  and a tenth of its duration, with floors. */
+workload::BenchmarkProfile
+goldenProfile(workload::BenchmarkProfile profile)
+{
+    profile.finalCacheKb *= 0.25;
+    profile.durationSec *= 0.1;
+    if (profile.finalCacheKb < 16.0) {
+        profile.finalCacheKb = 16.0;
+    }
+    if (profile.durationSec < 0.25) {
+        profile.durationSec = 0.25;
+    }
+    return profile;
+}
+
+/** The five manager families of the golden sweeps at half of
+ *  @p profile's volume: generational 45-10-45 thr 1, unified, and the
+ *  2tier, 4tier and temp3 catalog topologies. */
+std::vector<std::unique_ptr<cache::TierPipeline>>
+goldenManagers(const workload::BenchmarkProfile &profile)
+{
+    const std::uint64_t total = static_cast<std::uint64_t>(
+        profile.finalCacheKb * static_cast<double>(kKiB) / 2.0);
+    std::vector<std::unique_ptr<cache::TierPipeline>> managers;
+    managers.push_back(std::make_unique<cache::GenerationalCacheManager>(
+        cache::GenerationalConfig::fromProportions(total, 0.45, 0.10,
+                                                   /*threshold=*/1)));
+    managers.push_back(std::make_unique<cache::UnifiedCacheManager>(total));
+    for (const char *name : {"2tier", "4tier", "temp3"}) {
+        managers.push_back(cache::findTierTopology(name)->build(total));
+    }
+    return managers;
+}
+
 TEST(TemporalGolden, AllProfilesAllManagersCleanOffline)
 {
     for (const workload::BenchmarkProfile &profile :
          workload::allProfiles()) {
-        workload::BenchmarkProfile small = profile;
-        small.finalCacheKb *= 0.25;
-        small.durationSec *= 0.1;
-        if (small.finalCacheKb < 16.0) {
-            small.finalCacheKb = 16.0;
-        }
-        if (small.durationSec < 0.25) {
-            small.durationSec = 0.25;
-        }
+        const workload::BenchmarkProfile small = goldenProfile(profile);
         tracelog::AccessLog generated =
             workload::generateWorkload(small);
 
@@ -646,23 +678,8 @@ TEST(TemporalGolden, AllProfilesAllManagersCleanOffline)
         tracelog::writeBinary(generated, buffer);
         tracelog::AccessLog log = tracelog::readBinary(buffer);
 
-        const std::uint64_t total = static_cast<std::uint64_t>(
-            small.finalCacheKb * static_cast<double>(kKiB) / 2.0);
-
-        std::vector<std::unique_ptr<cache::CacheManager>> managers;
-        managers.push_back(
-            std::make_unique<cache::GenerationalCacheManager>(
-                cache::GenerationalConfig::fromProportions(
-                    total, 0.45, 0.10, /*threshold=*/1)));
-        managers.push_back(
-            std::make_unique<cache::UnifiedCacheManager>(total));
-        for (const char *name : {"2tier", "4tier", "temp3"}) {
-            managers.push_back(
-                cache::findTierTopology(name)->build(total));
-        }
-
-        for (std::unique_ptr<cache::CacheManager> &manager :
-             managers) {
+        for (std::unique_ptr<cache::TierPipeline> &manager :
+             goldenManagers(small)) {
             DiagnosticEngine engine;
             const std::uint64_t events = analysis::runTemporalReplay(
                 log, *manager, engine);
@@ -674,6 +691,61 @@ TEST(TemporalGolden, AllProfilesAllManagersCleanOffline)
     }
 }
 
+// The same profiles and managers as lanes of one blocked pass per
+// profile, each lane with its own bound checker that declines hit and
+// miss events. Lanes whose pipeline allows it then replay through the
+// fast sidecar while the tmp-* engine watches: sidecar reconciliation
+// at every residency transition, and the flow and residency
+// cross-checks at every module event (the checkpoint hook) and at the
+// end.
+TEST(TemporalGolden, FastReplayLanesCleanOffline)
+{
+    // Every family but temp3 (a temperature edge) runs fast today.
+    const bool fastToday[] = {true, true, true, true, false};
+    TemporalOptions options;
+    options.observeHitsMisses = false;
+    for (const workload::BenchmarkProfile &profile :
+         workload::allProfiles()) {
+        const workload::BenchmarkProfile small = goldenProfile(profile);
+        const tracelog::CompiledLog compiled =
+            tracelog::CompiledLog::compile(
+                workload::generateWorkload(small));
+        std::vector<std::unique_ptr<cache::TierPipeline>> managers =
+            goldenManagers(small);
+        ASSERT_EQ(managers.size(), std::size(fastToday));
+
+        DiagnosticEngine engine;
+        std::vector<std::unique_ptr<TemporalChecker>> checkers;
+        sim::BatchedReplay replay(compiled);
+        for (std::unique_ptr<cache::TierPipeline> &manager : managers) {
+            checkers.push_back(
+                std::make_unique<TemporalChecker>(engine, options));
+            checkers.back()->bindSubject(manager.get(),
+                                         &compiled.originalIds());
+            replay.addLane(*manager, checkers.back().get());
+        }
+        replay.setCheckpointHook(
+            [&](const cache::CacheManager &manager, TimeUs) {
+                for (std::size_t i = 0; i < managers.size(); ++i) {
+                    if (managers[i].get() == &manager) {
+                        checkers[i]->checkpoint();
+                    }
+                }
+            });
+        replay.run();
+        for (std::size_t i = 0; i < managers.size(); ++i) {
+            checkers[i]->finish();
+            EXPECT_GT(checkers[i]->eventCount(), 0u);
+            if (fastToday[i]) {
+                EXPECT_TRUE(managers[i]->fastReplayEnabled())
+                    << profile.name << " x " << managers[i]->name();
+            }
+        }
+        EXPECT_TRUE(engine.empty())
+            << profile.name << "\n" << engine.textReport();
+    }
+}
+
 TEST(TemporalGolden, OnlinePhaseHookRunsCleanUnderGencacheCheck)
 {
     ::setenv("GENCACHE_CHECK", "1", /*overwrite=*/1);
@@ -682,9 +754,11 @@ TEST(TemporalGolden, OnlinePhaseHookRunsCleanUnderGencacheCheck)
     cache::GenerationalCacheManager manager(
         cache::GenerationalConfig::fromProportions(32 * kKiB, 0.45,
                                                    0.10, 1));
-    sim::CacheSimulator simulator(manager);
-    ASSERT_TRUE(analysis::attachPhaseChecks(simulator));
-    sim::SimResult result = simulator.run(log); // panics on violation
+    const tracelog::CompiledLog compiled =
+        tracelog::CompiledLog::compile(log);
+    sim::BatchedReplay replay(compiled);
+    ASSERT_TRUE(analysis::attachPhaseChecks(replay, manager));
+    sim::SimResult result = replay.run().front(); // panics on violation
     EXPECT_GT(result.lookups, 0u);
     ::unsetenv("GENCACHE_CHECK");
 }

@@ -5,10 +5,11 @@
 // accepts, a random capacity and a short random log with traces
 // larger than some tiers, pins, module unloads and reloads. The case
 // replays as a one-lane blocked pass (sim::BatchedReplay over the
-// compiled log); every numeric SimResult field must equal the
-// model's. A TemporalChecker bound to a second pipeline of the same
-// topology watches a replay of the same log and must report nothing;
-// odd cases give it no hit or miss events.
+// compiled log) with a TemporalChecker bound to the pipeline and teed
+// in as the lane's probe; every numeric SimResult field must equal
+// the model's, and the checker must report nothing. Odd cases give
+// the checker no hit or miss events, so their lanes take the
+// fast-replay sidecar path wherever the topology allows it.
 //
 // Cases come from one fixed seed, so a failure reproduces: it prints
 // the case index, the topology and the first field that differs.
@@ -283,17 +284,16 @@ TEST(TierOracle, RandomCasesMatchTheModel)
             tracelog::CompiledLog::compile(log);
         std::unique_ptr<cache::TierPipeline> pipeline =
             topology.build(total);
-        sim::BatchedReplay replay(compiled);
-        replay.addLane(*pipeline);
-        const sim::SimResult got = replay.run().front();
-        fastLanes += pipeline->fastReplayEnabled() ? 1 : 0;
-
         analysis::TemporalOptions options;
         options.observeHitsMisses = index % 2 == 0;
         analysis::DiagnosticEngine findings;
-        std::unique_ptr<cache::TierPipeline> watched =
-            topology.build(total);
-        analysis::runTemporalReplay(log, *watched, findings, options);
+        analysis::TemporalChecker checker(findings, options);
+        checker.bindSubject(pipeline.get(), &compiled.originalIds());
+        sim::BatchedReplay replay(compiled);
+        replay.addLane(*pipeline, &checker);
+        const sim::SimResult got = replay.run().front();
+        checker.finish();
+        fastLanes += pipeline->fastReplayEnabled() ? 1 : 0;
 
         const sim::SimResult want =
             oracle::Figure8Model(modelOf(topology, total)).replay(log);

@@ -37,7 +37,6 @@
 #include "codecache/unified_cache.h"
 #include "sim/batched_replay.h"
 #include "sim/experiment.h"
-#include "sim/simulator.h"
 #include "sim/sweep.h"
 #include "sim_identity.h"
 #include "support/units.h"
@@ -138,6 +137,25 @@ class DetailedListener : public cache::CacheEventListener
         return r;
     }
 };
+
+/** Replay @p log against @p pipeline as a one-lane blocked pass with
+ *  @p events as the lane's probe, then rewrite the recorded dense ids
+ *  as the log's own trace ids. */
+sim::SimResult
+captureStream(const tracelog::AccessLog &log,
+              cache::TierPipeline &pipeline, DetailedListener &events)
+{
+    const tracelog::CompiledLog compiled =
+        tracelog::CompiledLog::compile(log);
+    sim::BatchedReplay replay(compiled);
+    replay.addLane(pipeline, &events);
+    const sim::SimResult result = replay.run().front();
+    for (DetailedListener::Record &record : events.records) {
+        record.trace = compiled.originalId(
+            static_cast<tracelog::DenseTraceId>(record.trace));
+    }
+    return result;
+}
 
 /** Digest of every field of every record in @p records, in order. */
 std::uint64_t
@@ -293,8 +311,9 @@ const GoldenStream kGoldenStreams[] = {
 };
 
 // The listener event streams — order, reasons, and every fragment
-// field crossing the interface — captured through the simulator's
-// probe, must match their committed digests.
+// field crossing the interface — captured through a one-lane replay's
+// probe, with the log's own trace ids, must match their committed
+// digests.
 TEST(TierEquivalence, EventStreamsBitIdentical)
 {
     for (const char *name : {"gzip", "mpeg"}) {
@@ -306,15 +325,13 @@ TEST(TierEquivalence, EventStreamsBitIdentical)
                                                        0.10, 1));
         cache::UnifiedCacheManager unified(capacity);
 
-        const std::pair<std::string, cache::CacheManager *> runs[] = {
+        const std::pair<std::string, cache::TierPipeline *> runs[] = {
             {std::string(name) + " / 45-10-45 thr 1", &generational},
             {std::string(name) + " / unified", &unified},
         };
         for (const auto &[label, manager] : runs) {
             DetailedListener events;
-            sim::CacheSimulator simulator(*manager);
-            simulator.setProbeListener(&events);
-            simulator.run(log);
+            captureStream(log, *manager, events);
 
             const std::size_t records = events.records.size();
             const std::uint64_t digest = streamDigest(events.records);
@@ -349,9 +366,7 @@ TEST(TierEquivalence, DigestCoversEveryComparedField)
         cache::GenerationalConfig::fromProportions(
             profileCapacity(profile), 0.45, 0.10, 1));
     DetailedListener events;
-    sim::CacheSimulator simulator(manager);
-    simulator.setProbeListener(&events);
-    const sim::SimResult recorded = simulator.run(log);
+    const sim::SimResult recorded = captureStream(log, manager, events);
     ASSERT_FALSE(events.records.empty());
 
     sim::SimResult changed = recorded;
@@ -703,7 +718,8 @@ TEST(Topology, CatalogSweepsCleanly)
 TEST(Topology, CatalogPassesStaticChecks)
 {
     workload::BenchmarkProfile profile = workload::findProfile("gzip");
-    tracelog::AccessLog log = workload::generateWorkload(profile);
+    const tracelog::CompiledLog compiled = tracelog::CompiledLog::compile(
+        workload::generateWorkload(profile));
     std::uint64_t capacity = profileCapacity(profile);
 
     for (const cache::TierTopology &topology :
@@ -712,8 +728,9 @@ TEST(Topology, CatalogPassesStaticChecks)
             topology.build(capacity);
         EXPECT_EQ(manager->totalCapacity(), capacity)
             << topology.name;
-        sim::CacheSimulator simulator(*manager);
-        sim::SimResult result = simulator.run(log);
+        sim::BatchedReplay replay(compiled);
+        replay.addLane(*manager);
+        sim::SimResult result = replay.run().front();
         EXPECT_GT(result.managerStats.promotions, 0u) << topology.name;
 
         manager->validate();

@@ -9,7 +9,6 @@
 #include "analysis/temporal_passes.h"
 #include "runtime/runtime.h"
 #include "sim/batched_replay.h"
-#include "sim/simulator.h"
 #include "support/logging.h"
 
 namespace gencache::analysis {
@@ -81,38 +80,6 @@ attachPhaseChecks(runtime::Runtime &runtime)
         runPasses(input, engine, /*cheap_only=*/true);
         enforce(engine, "runtime phase boundary");
     });
-    return true;
-}
-
-bool
-attachPhaseChecks(sim::CacheSimulator &simulator)
-{
-    if (!checkingEnabled()) {
-        return false;
-    }
-    // Beyond the snapshot passes, GENCACHE_CHECK runs the temporal
-    // invariant engine online: a TemporalChecker is teed beside the
-    // simulator's cost accountant and panics on the first violation
-    // (enforce mode). The checkpoint-hook closure owns it, so it
-    // lives exactly as long as the hook; the manager must still be
-    // empty here (the checker needs the whole event stream).
-    TemporalOptions options;
-    options.enforce = true;
-    auto engine = std::make_shared<DiagnosticEngine>();
-    auto temporal =
-        std::make_shared<TemporalChecker>(*engine, options);
-    temporal->bindSubject(dynamic_cast<const cache::TierPipeline *>(
-        &simulator.manager()));
-    simulator.setProbeListener(temporal.get());
-    simulator.setCheckpointHook(
-        [engine, temporal](const cache::CacheManager &manager,
-                           TimeUs) {
-            DiagnosticEngine snapshot;
-            runPasses(AnalysisInput::forManager(manager), snapshot,
-                      /*cheap_only=*/true);
-            enforce(snapshot, "simulator phase boundary");
-            temporal->checkpoint(); // panics itself in enforce mode
-        });
     return true;
 }
 

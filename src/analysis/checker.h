@@ -8,9 +8,11 @@
  *    pass pipeline over a finished run and return the diagnostics
  *    (what the gencheck CLI prints and tests golden-match).
  *  - Phase-boundary checks: attachPhaseChecks installs a checkpoint
- *    hook on a Runtime or CacheSimulator that runs the *cheap* passes
- *    (link graph + cache state) after every module load/unload and at
- *    the end of each run, panicking on the first error. The hook is
+ *    hook on a Runtime or a one-lane sim::BatchedReplay that runs the
+ *    *cheap* passes (link graph + cache state) after every module
+ *    load/unload and at the end of each run, panicking on the first
+ *    error; on a replay it also tees the temporal invariant engine in
+ *    as the lane's probe. The hook is
  *    only installed when the GENCACHE_CHECK environment variable is
  *    1, true, on or yes (see checkingEnabled()), so instrumented
  *    tests cost nothing by default.
@@ -27,7 +29,6 @@ class TierPipeline;
 
 namespace gencache::sim {
 class BatchedReplay;
-class CacheSimulator;
 } // namespace gencache::sim
 
 namespace gencache::analysis {
@@ -51,9 +52,6 @@ DiagnosticEngine checkManager(const cache::CacheManager &manager);
  * @return true when the hook was installed (checking is enabled).
  */
 bool attachPhaseChecks(runtime::Runtime &runtime);
-
-/** Same, for a trace-driven simulation. */
-bool attachPhaseChecks(sim::CacheSimulator &simulator);
 
 /**
  * Register @p pipeline as a lane of the one-lane replay @p replay.

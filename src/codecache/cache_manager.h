@@ -12,9 +12,8 @@
  *
  * TierPipeline (codecache/tier_pipeline.h) is the one implementation;
  * the generational and unified managers are configurations of it. The
- * runtime, the per-event CacheSimulator and the analysis passes hold
- * this interface, while the blocked replay kernel holds TierPipeline
- * lanes directly.
+ * runtime and the analysis passes hold this interface, while the
+ * replay loop (sim::BatchedReplay) holds TierPipeline lanes directly.
  */
 
 #ifndef GENCACHE_CODECACHE_CACHE_MANAGER_H
@@ -115,8 +114,9 @@ class CacheEventListener
  * Fan-out listener: forwards every event to two listeners, @p first
  * before @p second. The hit/miss dispatch hints are the union of the
  * two, so a hit-indifferent accountant plus a hit-observing checker
- * still sees hits. Used by CacheSimulator to attach an analysis probe
- * beside its cost accountant (neither is owned).
+ * still sees hits. sim::BatchedReplay tees a lane's probe (the
+ * temporal checker, a test's stream capture) in after the lane's cost
+ * accountant this way (neither is owned).
  */
 class TeeListener : public CacheEventListener
 {

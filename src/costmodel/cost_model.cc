@@ -34,50 +34,4 @@ CostModel::missCost(std::uint32_t bytes) const
     return 2 * contextSwitch() + traceGeneration(bytes) + copy(bytes);
 }
 
-void
-OverheadAccount::onInsert(const cache::Fragment &frag,
-                          cache::Generation gen, TimeUs now)
-{
-    (void)now;
-    // Only fresh generations reach onInsert (promotion moves arrive
-    // via onPromote), so every call prices a full miss service.
-    (void)gen;
-    breakdown_.traceGeneration += model_.traceGeneration(frag.sizeBytes);
-    breakdown_.contextSwitches += 2 * model_.contextSwitch();
-    breakdown_.copies += model_.copy(frag.sizeBytes);
-}
-
-void
-OverheadAccount::onEvict(const cache::Fragment &frag,
-                         cache::Generation gen,
-                         cache::EvictReason reason, TimeUs now)
-{
-    (void)gen;
-    (void)now;
-    if (cache::isDeletion(reason)) {
-        breakdown_.evictions += model_.eviction(frag.sizeBytes);
-    }
-}
-
-void
-OverheadAccount::onPromote(const cache::Fragment &frag,
-                           cache::Generation from, cache::Generation to,
-                           TimeUs now)
-{
-    (void)from;
-    (void)now;
-    if (to == cache::Generation::Persistent) {
-        // A persistent upgrade relocates the code and re-patches its
-        // links (§5.4): the full Table 2 promotion cost.
-        breakdown_.promotions += model_.promotion(frag.sizeBytes);
-    } else {
-        // Nursery victims transfer to the probation cache without
-        // recompilation — the §5.3 design removes counters precisely
-        // so this transfer stays cheap. We price it as link-update
-        // bookkeeping using the eviction formula, the same work a
-        // unified cache performs when it evicts the fragment.
-        breakdown_.promotions += model_.eviction(frag.sizeBytes);
-    }
-}
-
 } // namespace gencache::cost

@@ -16,6 +16,9 @@
  * / 13,354 instructions for generation / eviction / promotion and
  * roughly 85,000 instructions per miss — all reproduced by this
  * module and checked in the unit tests.
+ *
+ * CostModel is the formula source of sim::CostTables; the rules that
+ * price cache events with those tables are sim::TableOverheadListener's.
  */
 
 #ifndef GENCACHE_COSTMODEL_COST_MODEL_H
@@ -23,7 +26,6 @@
 
 #include <cstdint>
 
-#include "codecache/cache_manager.h"
 #include "support/units.h"
 
 namespace gencache::cost {
@@ -83,44 +85,6 @@ struct OverheadBreakdown
         return traceGeneration + contextSwitches + evictions +
                promotions + copies;
     }
-};
-
-/**
- * Cache-event listener that prices every transition with the
- * CostModel, mirroring §6.2's accounting:
- *
- *  - each insert into the nursery/unified cache is a trace generation
- *    plus two context switches plus one bb-to-trace copy (compulsory
- *    first generation and conflict-miss regeneration cost the same);
- *  - each deletion-eviction costs eviction(bytes);
- *  - each inter-cache promotion costs promotion(bytes).
- */
-class OverheadAccount : public cache::CacheEventListener
-{
-  public:
-    explicit OverheadAccount(CostModel model = CostModel{})
-        : cache::CacheEventListener(/*wants_hits=*/false,
-                                    /*wants_misses=*/false),
-          model_(model)
-    {
-    }
-
-    void onInsert(const cache::Fragment &frag, cache::Generation gen,
-                  TimeUs now) override;
-    void onEvict(const cache::Fragment &frag, cache::Generation gen,
-                 cache::EvictReason reason, TimeUs now) override;
-    void onPromote(const cache::Fragment &frag, cache::Generation from,
-                   cache::Generation to, TimeUs now) override;
-
-    const OverheadBreakdown &breakdown() const { return breakdown_; }
-    const CostModel &model() const { return model_; }
-
-    /** Reset all accumulated overhead. */
-    void reset() { breakdown_ = OverheadBreakdown{}; }
-
-  private:
-    CostModel model_;
-    OverheadBreakdown breakdown_;
 };
 
 } // namespace gencache::cost

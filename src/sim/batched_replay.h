@@ -1,13 +1,24 @@
 /**
  * @file
- * Single-pass batched multi-configuration replay.
+ * The trace-driven replay loop (paper §6): one pass over a compiled
+ * access log advances any number of cache pipelines.
  *
- * The sweep workload replays the same access log against K cache
- * managers (e.g. the four promotion thresholds of one sweep point).
- * Running K independent CacheSimulators costs O(K * events) of log
- * decode and event dispatch. BatchedReplay streams a CompiledLog
- * once and advances every registered lane, paying the decode and
- * dispatch cost once: O(events + K * manager work).
+ * "DynamoRIO executed our benchmarks using an unbounded code cache,
+ *  and we used the verbose log of cache accesses to drive our cache
+ *  simulator."
+ *
+ * Per lane, creations insert; executions look up, and a miss
+ * regenerates and re-inserts the trace (re-applying a pin the log
+ * still holds on it); module unloads force invalidations; pin and
+ * unpin events toggle undeletability. A trace created again after its
+ * module unloaded is a fresh trace: compile() gave it its own dense
+ * id. Table 2 costs come from a table-priced accountant
+ * (TableOverheadListener), installed as each lane's listener.
+ *
+ * The sweep workload replays the same log against K pipelines (e.g.
+ * the four promotion thresholds of one sweep point). BatchedReplay
+ * streams the CompiledLog once and advances every registered lane,
+ * paying decode and dispatch once: O(events + K * manager work).
  *
  * The loop nest is chunk x lane block x event: the kernel iterates
  * the CompiledLog's cache-sized chunks, sweeping a block of
@@ -23,19 +34,20 @@
  * pipeline's final methods; lanes whose pipeline accepts
  * enableFastReplay() serve their hits from its dense sidecar.
  *
- * Results are bit-identical to running the per-event
- * CacheSimulator::run(AccessLog) once per lane (pinned by
- * tests/test_replay_identity.cc): per-lane event order is preserved
- * (lanes are independent, so reordering chunk x lane changes nothing a
- * lane can observe), the cost tables hold the exact values the live
- * formulas produce, and execPinned() is the pin state the simulator's
- * per-trace registry holds at each event. Checkpoint hooks fire per
- * lane at the same module events; a lane block finishes its hooks
- * before the next block starts.
+ * Lanes are independent, so reordering chunk x lane changes nothing a
+ * lane can observe: a lane's results do not depend on how many lanes
+ * share its pass. Checkpoint hooks fire per lane at the same module
+ * events; a lane block finishes its hooks before the next block
+ * starts. What each lane produces is pinned by committed rows
+ * (tests/test_replay_identity.cc) and checked against an independent
+ * Figure-8 model on random topologies and logs
+ * (tests/test_tier_oracle.cc).
  *
  * Each lane drives one caller-owned pipeline and owns its
- * table-priced cost accounting (installed as the pipeline's listener)
- * and its SimResult.
+ * table-priced cost accounting, an optional probe listener teed in
+ * after it (the temporal checker, stream capture in tests), and its
+ * SimResult. The probe sees the log's dense ids; log().originalIds()
+ * translates them back.
  */
 
 #ifndef GENCACHE_SIM_BATCHED_REPLAY_H
@@ -44,10 +56,12 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
+#include "codecache/cache_manager.h"
+#include "costmodel/cost_model.h"
 #include "sim/cost_tables.h"
-#include "sim/simulator.h"
 #include "tracelog/compiled_log.h"
 
 namespace gencache::cache {
@@ -55,6 +69,31 @@ class TierPipeline;
 } // namespace gencache::cache
 
 namespace gencache::sim {
+
+/** Everything one lane of a replay produces. */
+struct SimResult
+{
+    std::string benchmark;
+    std::string manager;
+
+    std::uint64_t lookups = 0;
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t regenerations = 0;   ///< misses that re-inserted
+    std::uint64_t peakBytes = 0;       ///< peak cache occupancy
+    std::uint64_t createdTraces = 0;
+    std::uint64_t createdBytes = 0;
+
+    cache::ManagerStats managerStats;
+    cost::OverheadBreakdown overhead;
+
+    double missRate() const
+    {
+        return lookups == 0 ? 0.0
+                            : static_cast<double>(misses) /
+                                  static_cast<double>(lookups);
+    }
+};
 
 /** Replays one compiled log against K cache managers in one pass. */
 class BatchedReplay
@@ -90,9 +129,10 @@ class BatchedReplay
     const tracelog::CompiledLog &log() const { return log_; }
 
     /**
-     * Install @p hook to run per lane at replay phase boundaries
-     * (after ModuleLoad/ModuleUnload events and at the end of run()),
-     * mirroring CacheSimulator::setCheckpointHook.
+     * Install @p hook to run per lane at replay phase boundaries:
+     * after every ModuleLoad/ModuleUnload event and at the end of the
+     * replay. The static checker's GENCACHE_CHECK support attaches its
+     * cheap passes here (analysis::attachPhaseChecks).
      */
     void setCheckpointHook(
         std::function<void(const cache::CacheManager &, TimeUs)> hook)

@@ -1,20 +1,20 @@
 /**
  * @file
- * Precomputed per-trace overhead tables for replay hot loops.
+ * The §6.2 instruction-overhead accounting of a replay, priced from
+ * per-trace tables.
  *
  * The Table 2 cost formulas include 865 * bytes^0.8 — a transcendental
- * evaluated on every insert when OverheadAccount prices events live.
- * In a compiled-log replay every fragment the manager ever sees is one
- * of the log's traces, and the manager is driven with dense trace ids,
+ * that would otherwise be evaluated on every insert. In a
+ * compiled-log replay every fragment the manager ever sees is one of
+ * the log's traces, and the manager is driven with dense trace ids,
  * so all three per-byte formulas collapse into flat arrays indexed by
- * dense id, built once per CompiledLog and shared read-only across
- * every lane and configuration (the tournament replays one profile's
- * tables thousands of times).
+ * dense id, built once per CompiledLog from cost::CostModel and shared
+ * read-only across every lane and configuration (the tournament
+ * replays one profile's tables thousands of times). The per-event
+ * values are the InstrCount results the formulas produce: the tables
+ * are filled by calling them.
  *
- * TableOverheadListener replays the exact accounting rules of
- * cost::OverheadAccount against those tables: the per-event values are
- * the same InstrCount results the formulas produce (the tables are
- * filled by calling them), so replay results are bit-identical.
+ * TableOverheadListener is the only place the pricing rules live.
  */
 
 #ifndef GENCACHE_SIM_COST_TABLES_H
@@ -42,10 +42,18 @@ struct CostTables
 };
 
 /**
- * Drop-in replacement for cost::OverheadAccount on compiled-log
- * replays: identical accounting, table lookups instead of formula
- * evaluations. Fragment ids must be dense ids of the CompiledLog the
- * tables were built from.
+ * Cache-event listener that prices every transition with the tables,
+ * mirroring §6.2's accounting:
+ *
+ *  - each insert into the entry tier is a trace generation plus two
+ *    context switches plus one bb-to-trace copy (compulsory first
+ *    generation and conflict-miss regeneration cost the same);
+ *  - each deletion costs eviction(bytes);
+ *  - each inter-tier move costs promotion(bytes) into the last tier
+ *    and eviction(bytes) elsewhere (see onPromote).
+ *
+ * Fragment ids must be dense ids of the CompiledLog the tables were
+ * built from. BatchedReplay installs one per lane.
  */
 class TableOverheadListener : public cache::CacheEventListener
 {
@@ -62,6 +70,9 @@ class TableOverheadListener : public cache::CacheEventListener
     {
         (void)gen;
         (void)now;
+        // Only fresh generations reach onInsert (promotion moves
+        // arrive via onPromote), so every call prices a full miss
+        // service.
         breakdown_.traceGeneration += tables_->generation[frag.id];
         breakdown_.contextSwitches += tables_->missSwitches;
         breakdown_.copies += tables_->promotion[frag.id];
@@ -82,9 +93,13 @@ class TableOverheadListener : public cache::CacheEventListener
     {
         (void)from;
         (void)now;
-        // Persistent upgrades pay the full §5.4 relocation; other
-        // inter-tier moves are priced as link-update bookkeeping (see
-        // OverheadAccount::onPromote).
+        // A persistent upgrade relocates the code and re-patches its
+        // links (§5.4): the full Table 2 promotion cost. Nursery
+        // victims transfer to the probation cache without
+        // recompilation — the §5.3 design removes counters precisely
+        // so this transfer stays cheap — so other moves are priced as
+        // link-update bookkeeping with the eviction formula, the same
+        // work a unified cache performs when it evicts the fragment.
         breakdown_.promotions += to == cache::Generation::Persistent
                                      ? tables_->promotion[frag.id]
                                      : tables_->eviction[frag.id];

@@ -149,18 +149,6 @@ ExperimentRunner::runUnified(std::uint64_t capacity_bytes) const
         .first->second;
 }
 
-SimResult
-ExperimentRunner::runGenerational(std::uint64_t total_bytes,
-                                  const GenerationalLayout &layout) const
-{
-    cache::GenerationalCacheManager manager(
-        layout.toConfig(total_bytes));
-    CacheSimulator simulator(manager);
-    SimResult result = simulator.run(log_);
-    result.manager = layout.label;
-    return result;
-}
-
 std::vector<SimResult>
 ExperimentRunner::runGenerationalBatch(
     std::uint64_t total_bytes,
@@ -182,18 +170,6 @@ ExperimentRunner::runGenerationalBatch(
         results[i].manager = layouts[i].label;
     }
     return results;
-}
-
-SimResult
-ExperimentRunner::runTopology(std::uint64_t total_bytes,
-                              const cache::TierTopology &topology) const
-{
-    std::unique_ptr<cache::TierPipeline> manager =
-        topology.build(total_bytes);
-    CacheSimulator simulator(*manager);
-    SimResult result = simulator.run(log_);
-    result.manager = topology.name;
-    return result;
 }
 
 std::vector<SimResult>

@@ -21,10 +21,7 @@
  * hierarchy, so independent configurations can fan out across a
  * ThreadPool (see sim::runSweep). The unbounded pre-pass and the
  * unified baselines are memoized (keyed by capacity) so repeated
- * methodology steps never replay them twice. runGenerational() and
- * runTopology() replay log() through the per-event CacheSimulator;
- * only the identity tests call them, as the reference the batched
- * results are held to.
+ * methodology steps never replay them twice.
  */
 
 #ifndef GENCACHE_SIM_EXPERIMENT_H
@@ -39,7 +36,6 @@
 
 #include "codecache/generational_cache.h"
 #include "sim/batched_replay.h"
-#include "sim/simulator.h"
 #include "support/thread_annotations.h"
 #include "support/thread_pool.h"
 #include "tracelog/compiled_log.h"
@@ -131,32 +127,17 @@ class ExperimentRunner
      *  costTables(). Memoized per capacity. */
     SimResult runUnified(std::uint64_t capacity_bytes) const;
 
-    /** Reference: replay log() through the per-event CacheSimulator
-     *  against a generational hierarchy splitting @p total_bytes per
-     *  @p layout. Only the identity tests call it; everything else
-     *  uses runGenerationalBatch(). */
-    SimResult runGenerational(std::uint64_t total_bytes,
-                              const GenerationalLayout &layout) const;
-
     /** Replay every layout in @p layouts (all splitting
      *  @p total_bytes) in ONE blocked pass over the compiled log
      *  (sim::BatchedReplay). Returns one SimResult per layout, in
-     *  order, bit-identical to runGenerational on each. */
+     *  order, each labelled with its layout. */
     std::vector<SimResult> runGenerationalBatch(
         std::uint64_t total_bytes,
         const std::vector<GenerationalLayout> &layouts) const;
 
-    /** Reference: replay log() through the per-event CacheSimulator
-     *  against an arbitrary tier topology splitting @p total_bytes.
-     *  The result's manager label is the topology name. Only the
-     *  identity tests call it; everything else uses
-     *  runTopologyBatch(). */
-    SimResult runTopology(std::uint64_t total_bytes,
-                          const cache::TierTopology &topology) const;
-
     /** Replay every topology in @p topologies (all over a
      *  @p total_bytes budget) in ONE blocked pass over the compiled
-     *  log. Bit-identical to runTopology on each. */
+     *  log. Each result is labelled with its topology's name. */
     std::vector<SimResult> runTopologyBatch(
         std::uint64_t total_bytes,
         const std::vector<cache::TierTopology> &topologies) const;

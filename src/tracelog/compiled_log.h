@@ -19,9 +19,9 @@
  *     no registry lookup at all;
  *   - per-module event-range indices for introspection and tooling.
  *
- * Compilation validates the same invariants the legacy simulator
- * checks per event (no duplicate creations, no execution of unknown
- * traces), so the fast replay paths can skip those branches.
+ * Compilation validates the log's replay invariants (no duplicate
+ * creations outside a module reload, no execution of unknown traces),
+ * so the replay loop can skip those branches.
  *
  * A CompiledLog is immutable after compile() and safe to share
  * read-only across sweep cells and worker threads.
@@ -85,8 +85,9 @@ class CompiledLog
     /**
      * Compile @p log. A trace created again after its module unloaded
      * (a module reload) gets a fresh dense id with the same original
-     * id. Panics (like the per-event CacheSimulator loop) on any other
-     * repeated creation or an execution before creation.
+     * id. Panics on any other repeated creation or an execution before
+     * creation (loaders reject such logs first, through
+     * AccessLog::firstViolation).
      */
     static CompiledLog compile(const AccessLog &log);
 

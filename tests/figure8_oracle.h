@@ -46,7 +46,7 @@
 #include <vector>
 
 #include "costmodel/cost_model.h"
-#include "sim/simulator.h"
+#include "sim/batched_replay.h"
 #include "tracelog/event.h"
 
 namespace gencache::oracle {

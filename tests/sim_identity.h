@@ -26,7 +26,7 @@
 
 #include "codecache/cache_manager.h"
 #include "costmodel/cost_model.h"
-#include "sim/simulator.h"
+#include "sim/batched_replay.h"
 #include "workload/profile.h"
 
 namespace gencache::identity {

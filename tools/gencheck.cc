@@ -10,15 +10,15 @@
  *    runtime, then checked whole-system (CFG, superblocks, link
  *    graph, cache state);
  *  - sim:<profile> — a statistical benchmark workload replayed
- *    through the trace-driven simulator against a generational cache,
- *    then checked at the storage level;
+ *    against a generational cache as a one-lane blocked pass with the
+ *    temporal invariant engine as the lane's probe, then checked at
+ *    the storage level;
  *  - batched:<profile>:tN — the same workload compiled once
  *    (tracelog::CompiledLog) and streamed through the batched replay
  *    driver against one lane per standard sweep threshold; every
- *    lane's end state is checked like a sim subject. This keeps the
- *    blocked replay kernel honest: the dense-id residency indices
- *    must leave the same self-consistent storage state the per-event
- *    sim loop does.
+ *    lane's end state is checked like a sim subject. This keeps
+ *    multi-lane passes honest: every lane's dense-id residency
+ *    indices must leave a self-consistent storage state.
  *  - tier:<topology>:<profile> — the workload replayed against a
  *    named non-legacy tier topology (cache::namedTierTopologies: a
  *    2-tier filter, a 4-tier pipeline, a temperature-policy 3-tier),
@@ -82,7 +82,6 @@
 #include "runtime/runtime.h"
 #include "sim/batched_replay.h"
 #include "sim/fleet.h"
-#include "sim/simulator.h"
 #include "sim/sweep.h"
 #include "tracelog/compiled_log.h"
 #include "tracelog/serialize.h"

@@ -39,9 +39,10 @@ main()
     TextTable table({"benchmark", "unified miss", "eviction-time",
                      "eager", "eager promos", "lazy promos"});
 
+    const double factor = bench::scaleFactor();
     for (const char *name : kSubset) {
         workload::BenchmarkProfile profile =
-            bench::scaled(workload::findProfile(name));
+            bench::scaled(workload::findProfile(name), factor);
         sim::ExperimentRunner runner(profile);
         sim::SimResult unbounded = runner.runUnbounded();
         std::uint64_t capacity =

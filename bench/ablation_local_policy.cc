@@ -52,9 +52,10 @@ main()
                      "preemptive-flush"});
     SummaryStats totals[4];
 
+    const double factor = bench::scaleFactor();
     for (const char *name : kSubset) {
         workload::BenchmarkProfile profile =
-            bench::scaled(workload::findProfile(name));
+            bench::scaled(workload::findProfile(name), factor);
         sim::ExperimentRunner runner(profile);
         sim::SimResult unbounded = runner.runUnbounded();
         std::uint64_t capacity =

@@ -39,9 +39,10 @@ main()
                      "0.25x"});
     sim::GenerationalLayout layout = sim::paperLayouts().back();
 
+    const double factor = bench::scaleFactor();
     for (const char *name : kSubset) {
         workload::BenchmarkProfile profile =
-            bench::scaled(workload::findProfile(name));
+            bench::scaled(workload::findProfile(name), factor);
         sim::ExperimentRunner runner(profile);
         sim::SimResult unbounded = runner.runUnbounded();
 

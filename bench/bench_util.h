@@ -60,11 +60,11 @@ scaleFactor()
     return value;
 }
 
-/** Apply the scale factor to one profile (volume and duration). */
+/** Scale one profile's volume and duration by @p factor (a binary
+ *  reads scaleFactor() once and passes it to every profile). */
 inline workload::BenchmarkProfile
-scaled(workload::BenchmarkProfile profile)
+scaled(workload::BenchmarkProfile profile, double factor)
 {
-    double factor = scaleFactor();
     profile.finalCacheKb *= factor;
     profile.durationSec *= factor;
     if (profile.finalCacheKb < 16.0) {
@@ -76,24 +76,24 @@ scaled(workload::BenchmarkProfile profile)
     return profile;
 }
 
-/** All SPEC2000 profiles, scaled. */
+/** All SPEC2000 profiles, scaled by @p factor. */
 inline std::vector<workload::BenchmarkProfile>
-scaledSpecProfiles()
+scaledSpecProfiles(double factor)
 {
     std::vector<workload::BenchmarkProfile> profiles;
     for (const auto &profile : workload::spec2000Profiles()) {
-        profiles.push_back(scaled(profile));
+        profiles.push_back(scaled(profile, factor));
     }
     return profiles;
 }
 
-/** All interactive profiles, scaled. */
+/** All interactive profiles, scaled by @p factor. */
 inline std::vector<workload::BenchmarkProfile>
-scaledInteractiveProfiles()
+scaledInteractiveProfiles(double factor)
 {
     std::vector<workload::BenchmarkProfile> profiles;
     for (const auto &profile : workload::interactiveProfiles()) {
-        profiles.push_back(scaled(profile));
+        profiles.push_back(scaled(profile, factor));
     }
     return profiles;
 }

@@ -39,9 +39,10 @@ workloadStudy()
     const char *const names[] = {"word", "iexplore", "excel",
                                  "pinball", "solitaire", "gcc",
                                  "crafty"};
+    const double factor = bench::scaleFactor();
     for (const char *name : names) {
         workload::BenchmarkProfile profile =
-            bench::scaled(workload::findProfile(name));
+            bench::scaled(workload::findProfile(name), factor);
         // Exaggerate pinning a little so the pinned-skip machinery is
         // visible in the report.
         profile.pinFrac = 0.01;

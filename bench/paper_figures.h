@@ -481,19 +481,29 @@ figure11(const SuiteRecords &suites)
     return out;
 }
 
-/** Table 1 and every figure, in the paper's order, over the profiles
- *  GENCACHE_SCALE scales, each profile measured once on @p pool. */
+/** The profiles Table 1 and the figures measure, SPEC2000 first,
+ *  scaled by one reading of GENCACHE_SCALE. */
+inline std::vector<workload::BenchmarkProfile>
+paperProfiles()
+{
+    const double factor = scaleFactor();
+    std::vector<workload::BenchmarkProfile> profiles =
+        scaledSpecProfiles(factor);
+    for (workload::BenchmarkProfile &profile :
+         scaledInteractiveProfiles(factor)) {
+        profiles.push_back(std::move(profile));
+    }
+    return profiles;
+}
+
+/** Table 1 and every figure, in the paper's order, over
+ *  paperProfiles(), each profile measured once on @p pool. */
 inline std::vector<FigureText>
 paperFigures(ThreadPool &pool)
 {
-    std::vector<workload::BenchmarkProfile> profiles =
-        scaledSpecProfiles();
-    const std::size_t spec_count = profiles.size();
-    for (workload::BenchmarkProfile &profile :
-         scaledInteractiveProfiles()) {
-        profiles.push_back(std::move(profile));
-    }
-    std::vector<ProfileRecord> records = measureProfiles(profiles, pool);
+    const std::size_t spec_count = workload::spec2000Profiles().size();
+    std::vector<ProfileRecord> records =
+        measureProfiles(paperProfiles(), pool);
     const auto split = records.begin() +
                        static_cast<std::ptrdiff_t>(spec_count);
     const SuiteRecords suites = {

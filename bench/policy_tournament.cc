@@ -53,11 +53,12 @@ main(int argc, char **argv)
     const bool smoke =
         argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
 
+    const double factor = bench::scaleFactor();
     std::vector<workload::BenchmarkProfile> profiles;
-    for (const auto &profile : bench::scaledSpecProfiles()) {
+    for (const auto &profile : bench::scaledSpecProfiles(factor)) {
         profiles.push_back(profile);
     }
-    for (const auto &profile : bench::scaledInteractiveProfiles()) {
+    for (const auto &profile : bench::scaledInteractiveProfiles(factor)) {
         profiles.push_back(profile);
     }
     if (smoke && profiles.size() > 2) {

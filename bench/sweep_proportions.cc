@@ -75,9 +75,10 @@ main()
     double total_parallel = 0.0;
     bool all_identical = true;
 
+    const double factor = bench::scaleFactor();
     for (const char *name : kSubset) {
         workload::BenchmarkProfile profile =
-            bench::scaled(workload::findProfile(name));
+            bench::scaled(workload::findProfile(name), factor);
 
         bench::WallTimer serial_timer;
         sim::SweepResult serial =
@@ -154,7 +155,7 @@ main()
     bench::JsonObject artifact;
     artifact.put("bench", "sweep_proportions")
         .put("threads", static_cast<std::uint64_t>(threads))
-        .put("scale", bench::scaleFactor())
+        .put("scale", factor)
         .putRaw("benchmarks", benchmarks.toString())
         .put("total_serial_sec", total_serial)
         .put("total_parallel_sec", total_parallel)

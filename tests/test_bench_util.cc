@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the figure benches' shared helpers: GENCACHE_SCALE must
- * parse strictly, so a typo never silently shrinks a figure.
+ * parse strictly, so a typo never silently shrinks a figure, and be
+ * read once per binary, so a typo warns once.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <string>
 
 #include "bench_util.h"
+#include "paper_figures.h"
 
 namespace {
 
@@ -66,6 +68,22 @@ TEST(BenchUtil, ScaleFactorParsesAndClampsNumbers)
         ScopedScaleEnv env("50");
         EXPECT_EQ(bench::scaleFactor(), 10.0);
     }
+}
+
+TEST(BenchUtil, InvalidScaleWarnsOnce)
+{
+    ScopedScaleEnv env("abc");
+    testing::internal::CaptureStderr();
+    const std::vector<workload::BenchmarkProfile> profiles =
+        bench::paperProfiles();
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(profiles.size(), workload::allProfiles().size());
+    std::size_t warnings = 0;
+    for (std::size_t at = err.find("GENCACHE_SCALE");
+         at != std::string::npos; at = err.find("GENCACHE_SCALE", at + 1)) {
+        ++warnings;
+    }
+    EXPECT_EQ(warnings, 1u) << err;
 }
 
 } // namespace

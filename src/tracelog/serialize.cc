@@ -645,8 +645,15 @@ loadLogImpl(const std::string &path)
     if (!in) {
         parseFail("cannot open '{}' for reading", path);
     }
-    AccessLog log = endsWith(path, ".gclogb") ? readBinaryImpl(in)
-                                              : readTextImpl(in);
+    AccessLog log;
+    try {
+        log = endsWith(path, ".gclogb") ? readBinaryImpl(in)
+                                        : readTextImpl(in);
+    } catch (const ParseError &error) {
+        // The stream readers know no path; name the file here, as the
+        // rule violations below are named.
+        parseFail("'{}': {}", path, error.what());
+    }
     std::string violation = log.firstViolation();
     if (!violation.empty()) {
         parseFail("'{}': {}", path, violation);

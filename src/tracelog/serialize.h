@@ -88,7 +88,8 @@ AccessLog readBinary(std::istream &in);
  *  fatal() on I/O failure. loadLog() also checks the loaded events
  *  against the log's rules (AccessLog::firstViolation) and calls
  *  fatal() on the first one broken; readText()/readBinary() check
- *  syntax only. */
+ *  syntax only. A load failure names the file ("'<path>': <reason>");
+ *  the stream readers' messages carry no path. */
 void saveLog(const AccessLog &log, const std::string &path,
              int binary_version = 2);
 AccessLog loadLog(const std::string &path);

@@ -256,6 +256,8 @@ TEST(Serialize, TryLoadLogRejectsBrokenEventSemantics)
         EXPECT_FALSE(tryLoadLog(path, log, error)) << c.name;
         EXPECT_NE(error.find(c.culprit), std::string::npos)
             << c.name << ": " << error;
+        EXPECT_EQ(error.rfind("'" + path + "': ", 0), 0u)
+            << c.name << ": " << error;
         std::remove(path.c_str());
     }
 
@@ -698,42 +700,42 @@ struct GoldenOutcomes
 };
 
 const GoldenOutcomes kGoldenOutcomes[] = {
-    {"sample v1", 0x0fbbe41c6121422a,
-     "9dd7678b2c1bbbf32bbb1bbade18bfbb1f43bf1ebcbdb0baf109bfbcdfb481bb"
-     "bb15b7d004bb8d9febbf2b9beab95fbb5bbb140bdb0dbb01fbbbbb14fdebdb2b"
-     "b82da1b216ba1b511abb881bb150d1bb1be2bb8b0fbdb1bbbbdd1bbafbbbfcbb"
-     "9bb88bb1bbba571bff0f7fbdb3be224b10f2b4cba7411d84b1dbbf1beb7bbbeb"
-     "8beebc4b1d72bbdbbb6bbbbb87b1bbbfab96db129bdb"},
-    {"sample v2", 0x82f003457d320ce4,
-     "fdf8fd1dba9bdb2b6bfbb51bdf1dbb190fbbbff8f8db7106bbffff1b51bbd18b"
-     "16bfb1e18511dba9bbbabe71bd1898db1f18bdfd4f8fb1fb0e1617bbbbb3bfb4"
-     "bd06de9edd1bbee1fb9fdbbfd20d1bd111bbff141ea21ffbd1bbf6bf041b3d1b"
-     "bfd1bf186fb7fcf91b9ffd1bbfd5b1bfdb1b1dfddbf2bbd1ddbbd3bd9adbf1d7"
-     "4ffbbdf1591b5bebb8b3d1bbd01f6bb8edb1bb8bdd79"},
-    {"solitaire v1", 0x9e5c5f6c3442bad7,
-     "eaa170cc50b4999b3a12bbbbb4dc969d3bacbbb8e0b9b2bb2bbb43bbb85bbbbb"
-     "899b5bbcb24bfb4b6bbbbb16b1d8bbbdb3bbab1bb3b9bab10b0b1488173d9beb"
-     "bb0bbb0fbbbbbade45b906dfb7bbbbb0286b4b616b0bb9b5eb9bc1ab17208771"
-     "0baba535bb714b010bbbc7b63cb0bbb3bbfbdab2b088c9b1bb1bdb43b9b9bbcb"
-     "17cb2bc7bee47abb7bd4b3f4bcbfea1bbbbd1cbd2b4b"},
-    {"solitaire v2", 0xa85ee4d5021341dd,
-     "bb905eeb204bc6b3ed9bb8dfbbb6c8dbebba5ab65e86031b83b52ebb25bbb3b0"
-     "c7619b8ebbebeb4ebfb55b38fbcbbb3bebbbbbb2b56bc04bb16abbeb88b54dbe"
-     "9fbeb8ebbcbeb31db5fbef1f1b7bcbbbae66d6f6fe3b9db7e695bbbb4ebb537c"
-     "eb4e9b786ebb60444b7b46edb56b81b3825e101dabdbfbce8bb68643ebb5aee9"
-     "b9e83ebb69eb4c58aebb53dc2862bbebb9b0b6bbbcbc"},
-    {"sample text", 0x19826daec001c58f,
-     "f9e8dca1039a79fd98bbcafd0aab48d05c4ada1bf2c4fb5d4b8fa48feabde9a0"
-     "89da7bab9d5f66ab3b2a9f2ebd290d1f12e289d4cbb2fedc255a1259ae1adbbc"
-     "bc9d29ea95e83777bf2cb32e27669d814e821dea3661fdebd2ad22fd3ae5295d"
-     "9a2bbbe9adddb198c61c7be2b4c22eebb3755799de89b1ae78db5a3925dc9cd0"
-     "ffda8cde7ae70b98e5535c87419285c2ed1d689d3de1"},
-    {"solitaire text", 0x424a80a6f1addfb0,
-     "84a0c5d42654852ecbe1836ebb438d8ead288938e8b002a26d6bf34ce1494dd9"
-     "0fc74a3058b444cabc886dd808c890d66eeef60ff527bb88bd13b4c1aba147e9"
-     "cbf308152776e2fd6bd1c34527a169fccae1e47a36b856759cd154d9009e0a62"
-     "a24cb20562cc98253688a85e38f58e28c77c3405b63b8ca1712eedfa7b449640"
-     "f846a6bc6e942a87a471e67cf8f02ed878e8f084f338"},
+    {"sample v1", 0x3968b20fe036edd9,
+     "9bb98985caf55595c555755c38f8bf55192d59f85c53565affe9595ab9526f55"
+     "55f5573e025b6b99e5b9c5f5845f3f555555f465d5edd56195b55d74930535c5"
+     "56234f5c185af5bffa55e81551b0df55f50c5b656153575555bd155495d51c5d"
+     "755e8551555431f59969195353d84425f0f45a25a92ff36a5f3b591505955585"
+     "85885ca5f31455b55505555de1df5559c578d514953b"},
+    {"sample v2", 0xe52b044e3bc4011f,
+     "93989d1354753545859553153913551709555996983571e655f9991551b53185"
+     "76595181631f3549555a5e715316f835191e5d9b2969519d0e1617555555d952"
+     "53e83efebb155e8195f9b559b2ebf531f15599121e4c1995b15d965962155315"
+     "59d15f1869d79a991b999b1559335159351b1d9b359c5531dd55bd539ab59137"
+     "29955b9159153585b8553155b0196558ed51556db377"},
+    {"solitaire v1", 0x5402c2d0d266f8ac,
+     "0ccf10ca56549975dc12555552daf8f355cc555eee575455c5552d5558355555"
+     "8f75355a54a51da5055555f65fd8555d5d5545155d59545f0505fa8ef75d9585"
+     "550555e95dd554b8ab57e0d9575555504605250785e5b953e5f5c1c5f920691f"
+     "6d45c333559f256f0555a758da565555b515dc5c5068a7bf5575b5ad595755c5"
+     "f72545a158ea1c5595d253945c5f8cf55553fa53c545"},
+    {"solitaire v2", 0x174ff0debaadd4f5,
+     "557eb005c045c85d0d7556df5558c6d5055aba56b06863f56d5b2055cb555d5e"
+     "c761f58e5505e5a0515bb5d8f5c555d505b55552b585ae25516a55e5665bad50"
+     "9f5e580552505d1d5b950f1ff51525554080d6f8f0dd7d59067b555b4055bd72"
+     "05407598605580244575280d5b858f5d6cb01013cbb59520655668430555ae87"
+     "5708de5567054ab8c055bd3cc6825505595056555c5c"},
+    {"sample text", 0xeb861810dd840173,
+     "178eba4f6dfc1f9b76d52c9b044dae3eba2cb47d14221d5b2d6142e90cdb07c6"
+     "ef3495cd7b3988cb5d4c7948d3cfeb19f48467d2add418b24b3cf4bfc0fcb55a"
+     "da7b478cfb8e3971d94ad548490873e1a86cfd0c30071b0d344b4c93d48b473b"
+     "f4cdd58fc33bdf7ea87a9d8c5aa4c805dd13b9f7b0efdf4896d5b4df43b27a3e"
+     "f9bcead01c89edf68bbdba69affce3a4831b8e73d30f"},
+    {"solitaire text", 0x4875e8f27576bb81,
+     "6a4e2b3ac8326bc8258f6d80ddadebe04b4667d60656644c83859da28f27ab37"
+     "61c9a4d6be5aaa24dc668336e6a6fe38808e98619b4955665bfdd22f4547a98f"
+     "2515eefb49900413853fad23494f0f1a240f0a94305eb89b72bf3a37eefeec8c"
+     "4ca2b4eb6c2c7ecbd86e46b0561b60c8c192d2ebd6db624f97c8031495aa70a6"
+     "96a8c0d2007a4ce14a9f08121e1ec836968e168a15de"},
 };
 
 // A fixed budget of seeded corruptions of six clean streams, both

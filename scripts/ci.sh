@@ -3,7 +3,8 @@
 #   1. plain release-with-asserts build, warnings as errors
 #      (GENCACHE_WARNINGS_AS_ERRORS=ON), + complete ctest suite
 #   2. the same suite again under GENCACHE_CHECK=1 (phase-boundary
-#      invariant passes active inside the runtime/simulator tests)
+#      invariant passes, and the temporal engine as a replay lane's
+#      probe, active inside the runtime and replay tests)
 #   3. ThreadSanitizer build, running the `tsan`-labelled concurrency
 #      tests (thread pool, parallel sweep, the fleet simulator's
 #      racing shared-store processes, and the paper figures measured
@@ -11,10 +12,11 @@
 #      code store's shard locks under real races
 #   4. AddressSanitizer+UBSan build: first the `replay`-, `frontend`-,
 #      `tiers`-, `workload`-, `tracelog`- and `figures`-labelled
-#      bit-identity tests (the blocked replay kernel vs the per-event
-#      CacheSimulator reference, the live runtime's logs and stats vs
-#      their committed digests, the tier-pipeline adapters vs their
-#      committed digests, the generated logs vs their committed
+#      bit-identity tests (the replay loop vs its committed rows and
+#      vs the independent Figure-8 model on random topologies and
+#      logs, the live runtime's logs and stats vs their committed
+#      digests, the tier-pipeline adapters vs their committed
+#      digests, the generated logs vs their committed
 #      digests and the packed-word radix sort with its in-place
 #      permutation vs std::stable_sort, the gclog codec vs its
 #      committed encodings and the binary and text corrupt-stream
@@ -32,20 +34,23 @@
 #      metric must print with its unit, and a corrupted golden digest
 #      must be caught
 #   7. GENCACHE_SIMD=OFF build: the scalar-only fallback must build
-#      and pass every `replay`-, `tiers`- and `figures`-labelled
-#      bit-identity test (selected by label, so a renamed test is not
-#      silently dropped; the `tiers` and `figures` tests hold the
-#      scalar build to the same committed digests, so it must print
-#      the same figures) plus the SIMD-kernel and CompiledLog tests
+#      and pass every `replay`-, `tiers`- and `figures`-labelled test
+#      (selected by label, so a renamed test is not silently dropped;
+#      they hold the scalar build to the same committed rows and
+#      digests, so it must print the same figures, and to the Figure-8
+#      model) plus the SIMD-kernel and CompiledLog tests
 #   8. gencheck over the example workloads — topology lints, live
-#      runs, per-event sim replays, and batched-replay end states; any
-#      diagnostic of severity error (or worse) fails the pipeline
+#      runs, one-lane replays watched by the temporal engine, and
+#      multi-lane replay end states; any diagnostic of severity error
+#      (or worse) fails the pipeline
 #   9. gencheck temporal over recorded journals: record gzip and mpeg
 #      event streams with logreplay_tool (gzip in both binary
 #      versions), then replay them offline through the temporal
-#      invariant engine (gencheck --journal); also exercises the
-#      distinct load-failure exit code (3) on a missing journal and on
-#      journals whose events break the log's rules
+#      invariant engine (gencheck --journal); a seven-event module
+#      reload journal must pass gencheck --journal and replay through
+#      logreplay_tool; also exercises the distinct load-failure exit
+#      code (3) on a missing journal and on journals whose events break
+#      the log's rules
 #  10. clang -Wthread-safety -Werror compile of the annotated tree
 #      (ThreadPool, shared sweep/tournament state); self-skips with a
 #      notice when no clang toolchain is installed
@@ -148,6 +153,26 @@ mkdir -p build-ci/journals
     --journal build-ci/journals/mpeg.gclogb \
     --journal build-ci/journals/gzip-v1.gclogb \
     --json build-ci/gencheck-temporal-report.json
+# A module reload re-creates trace 42 under its old id: the compiled
+# replay must take it as a fresh trace, end to end.
+cat >build-ci/journals/module-reload.gclog <<'JOURNAL'
+gclog 1
+benchmark reload-journal
+duration_us 6
+footprint_bytes 64
+events 7
+load 0 0 0 1
+create 1 42 64 1
+exec 2 42 0 0
+unload 3 0 0 1
+load 4 0 0 1
+create 5 42 64 1
+exec 6 42 0 0
+JOURNAL
+"$root"/build-ci/tools/gencheck \
+    --journal build-ci/journals/module-reload.gclog --quiet
+"$root"/build-ci/examples/logreplay_tool replay \
+    build-ci/journals/module-reload.gclog
 # The load-failure exit code must stay distinct from "found errors",
 # for a missing journal and for journals that execute a trace before
 # creating it, use the reserved trace id (2^64 - 1), create a trace in

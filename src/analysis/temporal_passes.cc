@@ -530,11 +530,9 @@ runTemporalReplay(const tracelog::AccessLog &log,
         GENCACHE_PANIC("runTemporalReplay needs a TierPipeline, got {}",
                        manager.name());
     }
-    const tracelog::CompiledLog compiled =
-        tracelog::CompiledLog::compile(log);
     TemporalChecker checker(out, options);
-    checker.bindSubject(pipeline, &compiled.originalIds());
-    sim::BatchedReplay replay(compiled);
+    sim::BatchedReplay replay(log);
+    checker.bindSubject(pipeline, &replay.log().originalIds());
     replay.addLane(*pipeline, &checker);
     replay.run();
     checker.finish();

@@ -217,12 +217,13 @@ class TemporalChecker : public cache::CacheEventListener
 int generationRank(cache::Generation gen);
 
 /**
- * Offline temporal check: compile @p log and replay it against
- * @p manager, which must be a TierPipeline (every production manager
- * is), as a one-lane blocked pass (sim::BatchedReplay) with a
- * TemporalChecker bound to the pipeline and teed in as the lane's
- * probe (gencheck --journal). Findings quote the log's own trace ids
- * and land in @p out; finish() is called at the end of the replay.
+ * Offline temporal check: replay @p log against @p manager, which
+ * must be a TierPipeline (every production manager is), as a one-lane
+ * blocked pass (sim::BatchedReplay, compiling the log window by
+ * window) with a TemporalChecker bound to the pipeline and teed in as
+ * the lane's probe (gencheck --journal). Findings quote the log's own
+ * trace ids and land in @p out; finish() is called at the end of the
+ * replay.
  *
  * @return the number of cache events the checker observed.
  */

@@ -12,6 +12,13 @@ BatchedReplay::BatchedReplay(const tracelog::CompiledLog &log)
 {
 }
 
+BatchedReplay::BatchedReplay(const tracelog::AccessLog &log)
+    : windows_(std::make_unique<tracelog::CompiledLogWindows>(
+          log, kWindowEvents)),
+      log_(windows_->log())
+{
+}
+
 BatchedReplay::~BatchedReplay() = default;
 
 std::size_t
@@ -43,21 +50,32 @@ std::vector<SimResult>
 BatchedReplay::run()
 {
     begin();
-    const std::vector<tracelog::CompiledLog::Chunk> &chunks =
-        log_.chunks();
     const std::size_t laneCount = lanes_.size();
-    for (std::size_t blockFirst = 0; blockFirst < laneCount;
-         blockFirst += kLaneBlock) {
-        const std::size_t blockEnd =
-            std::min(laneCount, blockFirst + kLaneBlock);
-        for (const tracelog::CompiledLog::Chunk &chunk : chunks) {
-            for (std::size_t l = blockFirst; l < blockEnd; ++l) {
-                replayChunk(lanes_[l], chunk);
+    do {
+        for (std::size_t blockFirst = 0; blockFirst < laneCount;
+             blockFirst += kLaneBlock) {
+            const std::size_t blockEnd =
+                std::min(laneCount, blockFirst + kLaneBlock);
+            for (const tracelog::CompiledLog::Chunk &chunk :
+                 log_.chunks()) {
+                for (std::size_t l = blockFirst; l < blockEnd; ++l) {
+                    replayChunk(lanes_[l], chunk);
+                }
             }
         }
-    }
-    chunkCursor_ = chunks.size();
+        chunkCursor_ = log_.chunks().size();
+    } while (nextWindow());
     return finish();
+}
+
+bool
+BatchedReplay::nextWindow()
+{
+    if (windows_ == nullptr || !windows_->next()) {
+        return false;
+    }
+    chunkCursor_ = 0;
+    return true;
 }
 
 void
@@ -316,7 +334,8 @@ BatchedReplay::step(std::size_t chunk_budget)
     }
     const std::vector<tracelog::CompiledLog::Chunk> &chunks =
         log_.chunks();
-    if (chunkCursor_ >= chunks.size() || chunk_budget == 0) {
+    if (chunk_budget == 0 ||
+        (chunkCursor_ >= chunks.size() && !nextWindow())) {
         return false;
     }
     const std::size_t end =

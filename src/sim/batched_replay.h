@@ -48,6 +48,13 @@
  * after it (the temporal checker, stream capture in tests), and its
  * SimResult. The probe sees the log's dense ids; log().originalIds()
  * translates them back.
+ *
+ * A replay built from an AccessLog compiles it in windows of
+ * kWindowEvents events (tracelog::CompiledLogWindows) and holds one
+ * window's columns at a time, so a one-off pass (runTemporalReplay)
+ * costs memory in traces, not events. Its chunks are the whole-log
+ * compile's chunks, so each lane produces what it would on the whole
+ * compiled log.
  */
 
 #ifndef GENCACHE_SIM_BATCHED_REPLAY_H
@@ -104,8 +111,16 @@ class BatchedReplay
      *  large enough to amortize streaming the chunk columns. */
     static constexpr std::size_t kLaneBlock = 8;
 
+    /** Events per window of a replay built from an AccessLog. */
+    static constexpr std::size_t kWindowEvents =
+        4 * tracelog::CompiledLog::kChunkEvents;
+
     /** @param log compiled log to stream; must outlive the replay. */
     explicit BatchedReplay(const tracelog::CompiledLog &log);
+
+    /** @param log log to compile window by window and stream; must
+     *  outlive the replay. */
+    explicit BatchedReplay(const tracelog::AccessLog &log);
 
     ~BatchedReplay();
 
@@ -125,7 +140,8 @@ class BatchedReplay
     std::size_t addLane(cache::TierPipeline &pipeline,
                         cache::CacheEventListener *probe = nullptr);
 
-    /** The compiled log this replay streams. */
+    /** The compiled log this replay streams (the current window of
+     *  a replay built from an AccessLog). */
     const tracelog::CompiledLog &log() const { return log_; }
 
     /**
@@ -173,9 +189,6 @@ class BatchedReplay
      *  false when the log is exhausted (nothing was advanced). */
     bool step(std::size_t chunk_budget);
 
-    /** @return chunks already replayed (monotonic progress). */
-    std::size_t chunkCursor() const { return chunkCursor_; }
-
     /** Finish a begin()/step() replay: flush fast counters, fire the
      *  end-of-run checkpoint, and return the per-lane results. */
     std::vector<SimResult> finish();
@@ -203,10 +216,15 @@ class BatchedReplay
     void runChunkFast(Lane &lane,
                       const tracelog::CompiledLog::Chunk &chunk);
 
+    /** Compile the next window, if the replay has windows and one is
+     *  left, and rewind the chunk cursor to it. */
+    bool nextWindow();
+
+    std::unique_ptr<tracelog::CompiledLogWindows> windows_;
     const tracelog::CompiledLog &log_;
     std::vector<Lane> lanes_;
     bool begun_ = false;
-    std::size_t chunkCursor_ = 0;
+    std::size_t chunkCursor_ = 0; ///< chunks of log_ replayed
     const CostTables *sharedTables_ = nullptr;
     std::optional<CostTables> ownedTables_;
     std::function<void(const cache::CacheManager &, TimeUs)>

@@ -83,122 +83,165 @@ class DenseIdMap
     std::size_t size_ = 0;
 };
 
+bool
+isModuleEvent(EventType type)
+{
+    return type == EventType::ModuleLoad ||
+           type == EventType::ModuleUnload;
+}
+
+/** End of the chunk that starts at event @p i of @p count: a module
+ *  event is a chunk alone; a trace-event chunk runs to kChunkEvents
+ *  or the next module event, whichever comes first. */
+template <class TypeAt>
+std::size_t
+chunkEnd(std::size_t i, std::size_t count, TypeAt type_at)
+{
+    if (isModuleEvent(type_at(i))) {
+        return i + 1;
+    }
+    const std::size_t limit =
+        std::min(count, i + CompiledLog::kChunkEvents);
+    std::size_t end = i + 1;
+    while (end < limit && !isModuleEvent(type_at(end))) {
+        ++end;
+    }
+    return end;
+}
+
 } // namespace
 
-CompiledLog
-CompiledLog::compile(const AccessLog &log)
+/**
+ * The walk fills the trace tables and module ranges as it hands out
+ * dense ids (@p tables true), or, over a log whose tables an earlier
+ * walk filled, hands out the same ids in the same order and leaves
+ * them be.
+ */
+struct CompiledLog::Walk
 {
-    CompiledLog out;
-    out.benchmark_ = log.benchmark();
-    out.duration_ = log.duration();
-    out.footprint_ = log.footprintBytes();
-    out.createdBytes_ = log.createdTraceBytes();
-    out.createdCount_ = log.createdTraceCount();
-    out.moduleUids_ = log.moduleUids();
+    Walk(std::size_t expected_traces, bool fill_tables)
+        : remap(expected_traces), tables(fill_tables)
+    {
+    }
 
-    const std::size_t count = log.size();
-    out.type_.reserve(count);
-    out.time_.reserve(count);
-    out.trace_.reserve(count);
-    out.size_.reserve(count);
-    out.module_.reserve(count);
-    out.execPinned_.reserve(count);
+    DenseTraceId addDense(CompiledLog &out, cache::TraceId id)
+    {
+        const auto dense = static_cast<DenseTraceId>(createdAt.size());
+        if (tables) {
+            out.originalId_.push_back(id);
+            out.traceSize_.push_back(0);
+            out.traceModule_.push_back(cache::kNoModule);
+        }
+        createdAt.push_back(0);
+        pinWanted.push_back(0);
+        return dense;
+    }
 
-    DenseIdMap remap(log.createdTraceCount());
+    DenseTraceId denseOf(CompiledLog &out, cache::TraceId id)
+    {
+        auto [dense, fresh] = remap.findOrAssign(
+            id, static_cast<DenseTraceId>(createdAt.size()));
+        if (fresh) {
+            addDense(out, id);
+        }
+        return dense;
+    }
+
+    // A module reload re-creates its traces under their canonical ids.
+    // Once the module of a trace's previous creation has unloaded, the
+    // new creation is a fresh trace with its own dense id, so the side
+    // tables keep one size and module per id.
+    bool moduleUnloadedSinceCreation(const CompiledLog &out,
+                                     DenseTraceId dense) const
+    {
+        auto slot = moduleSlot.find(out.traceModule_[dense]);
+        return slot != moduleSlot.end() &&
+               unloadedAt[slot->second] > createdAt[dense];
+    }
+
+    /** Walk event @p i; append its columns to @p out when
+     *  @p columns. */
+    void step(CompiledLog &out, std::size_t i, const Event &event,
+              bool columns);
+
+    DenseIdMap remap;
+    bool tables;
     std::unordered_map<cache::ModuleId, std::size_t> moduleSlot;
     // 1 + event index of each module slot's latest unload and of each
     // dense id's creation; 0 for never.
     std::vector<std::size_t> unloadedAt;
     std::vector<std::size_t> createdAt;
     std::vector<std::uint8_t> pinWanted;
+};
 
-    auto add_dense = [&](cache::TraceId id) {
-        out.originalId_.push_back(id);
-        out.traceSize_.push_back(0);
-        out.traceModule_.push_back(cache::kNoModule);
-        createdAt.push_back(0);
-        pinWanted.push_back(0);
-        return static_cast<DenseTraceId>(out.originalId_.size() - 1);
-    };
-    auto dense_of = [&](cache::TraceId id) {
-        auto [dense, fresh] = remap.findOrAssign(
-            id, static_cast<DenseTraceId>(out.originalId_.size()));
-        if (fresh) {
-            add_dense(id);
-        }
-        return dense;
-    };
-    // A module reload re-creates its traces under their canonical ids.
-    // Once the module of a trace's previous creation has unloaded, the
-    // new creation is a fresh trace with its own dense id, so the side
-    // tables keep one size and module per id.
-    auto module_unloaded_since_creation = [&](DenseTraceId dense) {
-        auto slot = moduleSlot.find(out.traceModule_[dense]);
-        return slot != moduleSlot.end() &&
-               unloadedAt[slot->second] > createdAt[dense];
-    };
-
-    for (std::size_t i = 0; i < count; ++i) {
-        const Event &event = log[i];
-        DenseTraceId dense = 0;
-        std::uint32_t size_bytes = 0;
-        cache::ModuleId module = cache::kNoModule;
-        switch (event.type) {
-          case EventType::TraceCreate:
-            dense = dense_of(event.trace);
-            if (createdAt[dense] != 0) {
-                if (!module_unloaded_since_creation(dense)) {
-                    GENCACHE_PANIC("trace {} created twice in log",
-                                   event.trace);
-                }
-                dense = add_dense(event.trace);
-                remap.reassign(event.trace, dense);
-            }
-            createdAt[dense] = i + 1;
-            pinWanted[dense] = 0;
-            out.traceSize_[dense] = event.sizeBytes;
-            out.traceModule_[dense] = event.module;
-            size_bytes = event.sizeBytes;
-            module = event.module;
-            break;
-          case EventType::TraceExec:
-            dense = dense_of(event.trace);
-            if (createdAt[dense] == 0) {
-                GENCACHE_PANIC("execution of unknown trace {}",
+void
+CompiledLog::Walk::step(CompiledLog &out, std::size_t i,
+                        const Event &event, bool columns)
+{
+    DenseTraceId dense = 0;
+    std::uint32_t size_bytes = 0;
+    cache::ModuleId module = cache::kNoModule;
+    switch (event.type) {
+      case EventType::TraceCreate:
+        dense = denseOf(out, event.trace);
+        if (createdAt[dense] != 0) {
+            if (!moduleUnloadedSinceCreation(out, dense)) {
+                GENCACHE_PANIC("trace {} created twice in log",
                                event.trace);
             }
-            break;
-          case EventType::Pin:
-            dense = dense_of(event.trace);
-            pinWanted[dense] = 1;
-            break;
-          case EventType::Unpin:
-            dense = dense_of(event.trace);
-            pinWanted[dense] = 0;
-            break;
-          case EventType::ModuleLoad:
-          case EventType::ModuleUnload: {
-            module = event.module;
-            auto [it, fresh] =
-                moduleSlot.emplace(module, out.moduleRanges_.size());
-            if (fresh) {
+            dense = addDense(out, event.trace);
+            remap.reassign(event.trace, dense);
+        }
+        createdAt[dense] = i + 1;
+        pinWanted[dense] = 0;
+        out.traceSize_[dense] = event.sizeBytes;
+        out.traceModule_[dense] = event.module;
+        size_bytes = event.sizeBytes;
+        module = event.module;
+        break;
+      case EventType::TraceExec:
+        dense = denseOf(out, event.trace);
+        if (createdAt[dense] == 0) {
+            GENCACHE_PANIC("execution of unknown trace {}", event.trace);
+        }
+        break;
+      case EventType::Pin:
+        dense = denseOf(out, event.trace);
+        pinWanted[dense] = 1;
+        break;
+      case EventType::Unpin:
+        dense = denseOf(out, event.trace);
+        pinWanted[dense] = 0;
+        break;
+      case EventType::ModuleLoad:
+      case EventType::ModuleUnload: {
+        module = event.module;
+        auto [it, fresh] = moduleSlot.emplace(module, unloadedAt.size());
+        if (fresh) {
+            unloadedAt.push_back(0);
+            if (tables) {
                 ModuleRange range;
                 range.module = module;
                 range.firstEvent = i;
                 out.moduleRanges_.push_back(range);
-                unloadedAt.push_back(0);
             }
+        }
+        if (event.type == EventType::ModuleUnload) {
+            unloadedAt[it->second] = i + 1;
+        }
+        if (tables) {
             ModuleRange &range = out.moduleRanges_[it->second];
             range.lastEvent = i;
             if (event.type == EventType::ModuleLoad) {
                 ++range.loads;
             } else {
                 ++range.unloads;
-                unloadedAt[it->second] = i + 1;
             }
-            break;
-          }
         }
+        break;
+      }
+    }
+    if (columns) {
         out.type_.push_back(event.type);
         out.time_.push_back(event.time);
         out.trace_.push_back(dense);
@@ -207,7 +250,37 @@ CompiledLog::compile(const AccessLog &log)
         out.execPinned_.push_back(
             event.type == EventType::TraceExec ? pinWanted[dense] : 0);
     }
+}
 
+CompiledLog
+CompiledLog::header(const AccessLog &log)
+{
+    CompiledLog out;
+    out.benchmark_ = log.benchmark();
+    out.duration_ = log.duration();
+    out.footprint_ = log.footprintBytes();
+    out.createdBytes_ = log.createdTraceBytes();
+    out.createdCount_ = log.createdTraceCount();
+    out.moduleUids_ = log.moduleUids();
+    return out;
+}
+
+CompiledLog
+CompiledLog::compile(const AccessLog &log)
+{
+    CompiledLog out = header(log);
+    const std::size_t count = log.size();
+    out.type_.reserve(count);
+    out.time_.reserve(count);
+    out.trace_.reserve(count);
+    out.size_.reserve(count);
+    out.module_.reserve(count);
+    out.execPinned_.reserve(count);
+
+    Walk walk(log.createdTraceCount(), /*tables=*/true);
+    for (std::size_t i = 0; i < count; ++i) {
+        walk.step(out, i, log[i], /*columns=*/true);
+    }
     out.buildChunks();
     return out;
 }
@@ -218,40 +291,70 @@ CompiledLog::buildChunks()
     const std::size_t count = type_.size();
     const std::uint8_t *bytes =
         reinterpret_cast<const std::uint8_t *>(type_.data());
-    auto isModuleEvent = [](EventType type) {
-        return type == EventType::ModuleLoad ||
-               type == EventType::ModuleUnload;
-    };
-
-    std::size_t i = 0;
-    while (i < count) {
-        if (isModuleEvent(type_[i])) {
-            Chunk barrier;
-            barrier.first = i;
-            barrier.count = 1;
-            barrier.typeMask = static_cast<std::uint8_t>(
-                1u << static_cast<unsigned>(type_[i]));
-            barrier.barrier = true;
-            chunks_.push_back(barrier);
-            ++i;
-            continue;
-        }
-        // Extend a trace-event chunk to kChunkEvents or the next
-        // module event, whichever comes first.
-        std::size_t end = i;
-        const std::size_t limit =
-            std::min(count, i + kChunkEvents);
-        while (end < limit && !isModuleEvent(type_[end])) {
-            ++end;
-        }
+    auto type_at = [this](std::size_t i) { return type_[i]; };
+    for (std::size_t i = 0; i < count;) {
+        const std::size_t end = chunkEnd(i, count, type_at);
         Chunk chunk;
         chunk.first = i;
         chunk.count = static_cast<std::uint32_t>(end - i);
-        chunk.typeMask =
-            simd::byteOccurrenceMask(bytes + i, end - i);
+        chunk.typeMask = simd::byteOccurrenceMask(bytes + i, end - i);
+        chunk.barrier = isModuleEvent(type_[i]);
         chunks_.push_back(chunk);
         i = end;
     }
+}
+
+CompiledLogWindows::CompiledLogWindows(const AccessLog &log,
+                                       std::size_t window_events)
+    : source_(log), windowEvents_(std::max<std::size_t>(1, window_events)),
+      log_(CompiledLog::header(log))
+{
+    // The tables walk: execution events hand out no dense ids (an
+    // execution of an unknown trace panics in its window's walk).
+    CompiledLog::Walk tables(log.createdTraceCount(), /*tables=*/true);
+    for (std::size_t i = 0; i < log.size(); ++i) {
+        if (log[i].type != EventType::TraceExec) {
+            tables.step(log_, i, log[i], /*columns=*/false);
+        }
+    }
+    walk_ = std::make_unique<CompiledLog::Walk>(log.createdTraceCount(),
+                                                /*tables=*/false);
+    fill();
+}
+
+CompiledLogWindows::~CompiledLogWindows() = default;
+
+bool
+CompiledLogWindows::next()
+{
+    if (windowEnd_ == source_.size()) {
+        return false;
+    }
+    fill();
+    return true;
+}
+
+void
+CompiledLogWindows::fill()
+{
+    const std::size_t count = source_.size();
+    std::size_t end = windowEnd_;
+    auto type_at = [this](std::size_t i) { return source_[i].type; };
+    while (end < count && end - windowEnd_ < windowEvents_) {
+        end = chunkEnd(end, count, type_at);
+    }
+    log_.type_.clear();
+    log_.time_.clear();
+    log_.trace_.clear();
+    log_.size_.clear();
+    log_.module_.clear();
+    log_.execPinned_.clear();
+    log_.chunks_.clear();
+    for (std::size_t i = windowEnd_; i < end; ++i) {
+        walk_->step(log_, i, source_[i], /*columns=*/true);
+    }
+    log_.buildChunks();
+    windowEnd_ = end;
 }
 
 } // namespace gencache::tracelog

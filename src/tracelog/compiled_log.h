@@ -25,12 +25,18 @@
  *
  * A CompiledLog is immutable after compile() and safe to share
  * read-only across sweep cells and worker threads.
+ *
+ * The event columns cost 22 bytes an event. A replay that streams a
+ * log once and needs no second pass (the temporal checker's) can
+ * compile it in windows instead (CompiledLogWindows): the trace
+ * tables stay whole, the columns hold one window at a time.
  */
 
 #ifndef GENCACHE_TRACELOG_COMPILED_LOG_H
 #define GENCACHE_TRACELOG_COMPILED_LOG_H
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -197,7 +203,16 @@ class CompiledLog
     }
 
   private:
+    friend class CompiledLogWindows;
+
+    /** compile()'s walk over the events in log order (the dense-id
+     *  assignment and its checks). */
+    struct Walk;
+
     CompiledLog() = default;
+
+    /** A log with @p log's metadata and no events or traces yet. */
+    static CompiledLog header(const AccessLog &log);
 
     /** Cut the event columns into chunks_ (see chunks()). */
     void buildChunks();
@@ -222,6 +237,43 @@ class CompiledLog
     std::unordered_map<cache::ModuleId, cache::ModuleUid> moduleUids_;
 
     std::vector<ModuleRange> moduleRanges_;
+};
+
+/**
+ * An AccessLog compiled one window of events at a time, for a replay
+ * that streams the log once (sim::BatchedReplay's AccessLog
+ * constructor). log()'s trace tables, module ranges and metadata are
+ * the whole log's from the start, so its dense ids, traceCount(),
+ * originalIds() and cost tables are final before the first event; its
+ * event columns and chunks() hold the current window only. A window
+ * is a run of whole chunks of the whole-log compile, of at least
+ * @p window_events events unless the log ends first, and its chunks
+ * are exactly those chunks, indexed from the window's first event.
+ * Keeps a reference to the source log, which must outlive it.
+ */
+class CompiledLogWindows
+{
+  public:
+    /** Compile @p log's trace tables and its first window. */
+    CompiledLogWindows(const AccessLog &log, std::size_t window_events);
+    ~CompiledLogWindows();
+
+    /** The current window (and the whole log's trace tables). */
+    const CompiledLog &log() const { return log_; }
+
+    /** Replace log()'s columns and chunks with the next window.
+     *  @return false, changing nothing, after the last window. */
+    bool next();
+
+  private:
+    /** Compile the window that starts at windowEnd_. */
+    void fill();
+
+    const AccessLog &source_;
+    std::size_t windowEvents_;
+    CompiledLog log_;
+    std::unique_ptr<CompiledLog::Walk> walk_;
+    std::size_t windowEnd_ = 0; ///< source index after the window
 };
 
 } // namespace gencache::tracelog

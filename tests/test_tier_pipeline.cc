@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -63,6 +64,13 @@ profileCapacity(const workload::BenchmarkProfile &profile)
 class DetailedListener : public cache::CacheEventListener
 {
   public:
+    /** @param hits_and_misses whether to ask for hits and misses
+     *  (without them a lane may serve hits from its sidecar). */
+    explicit DetailedListener(bool hits_and_misses = true)
+        : cache::CacheEventListener(hits_and_misses, hits_and_misses)
+    {
+    }
+
     struct Record
     {
         char kind = '?'; ///< m/h/i/e/p
@@ -342,6 +350,70 @@ TEST(TierEquivalence, EventStreamsBitIdentical)
                 << "change is intended, its row in kGoldenStreams "
                 << "becomes:\n    {\"" << label << "\", " << records
                 << ", " << hexDigest(digest) << "},";
+        }
+    }
+}
+
+// A replay built from the AccessLog compiles it window by window; on
+// logs of many windows, with module reloads and pins, each lane sees
+// the stream and ends with the result it has on the whole compiled
+// log, whether its probe watches hits and misses (off the sidecar)
+// or not.
+TEST(TierEquivalence, WindowedReplayMatchesTheWholeLog)
+{
+    for (const char *name : {"solitaire", "gcc"}) {
+        const workload::BenchmarkProfile profile =
+            identity::scaledProfile(workload::findProfile(name), 0.1);
+        const tracelog::AccessLog log = workload::generateWorkload(profile);
+        ASSERT_GT(log.size(), 3 * sim::BatchedReplay::kWindowEvents)
+            << name;
+        const std::uint64_t capacity = profileCapacity(profile);
+        std::vector<std::function<std::unique_ptr<cache::TierPipeline>()>>
+            builds = {
+                [&] {
+                    return std::make_unique<cache::GenerationalCacheManager>(
+                        cache::GenerationalConfig::fromProportions(
+                            capacity, 0.45, 0.10, 1));
+                },
+                [&] {
+                    return std::make_unique<cache::UnifiedCacheManager>(
+                        capacity);
+                },
+            };
+        for (const cache::TierTopology &topology :
+             cache::namedTierTopologies()) {
+            builds.push_back(
+                [&capacity, t = &topology] { return t->build(capacity); });
+        }
+        for (const auto &build : builds) {
+            for (bool watch : {true, false}) {
+                std::unique_ptr<cache::TierPipeline> on_whole = build();
+                std::unique_ptr<cache::TierPipeline> on_windows = build();
+                const std::string label =
+                    std::string(name) + " / " + on_whole->name() +
+                    (watch ? " / hits" : " / no hits");
+                DetailedListener whole(watch);
+                DetailedListener windowed(watch);
+                const sim::SimResult expected =
+                    captureStream(log, *on_whole, whole);
+
+                sim::BatchedReplay replay(log);
+                replay.addLane(*on_windows, &windowed);
+                const sim::SimResult result = replay.run().front();
+                EXPECT_EQ(on_windows->fastReplayEnabled(),
+                          on_whole->fastReplayEnabled())
+                    << label;
+                identity::expectIdentical(result, expected, label);
+                for (DetailedListener::Record &record : windowed.records) {
+                    record.trace = replay.log().originalId(
+                        static_cast<tracelog::DenseTraceId>(record.trace));
+                }
+                EXPECT_EQ(windowed.records.size(), whole.records.size())
+                    << label;
+                EXPECT_EQ(streamDigest(windowed.records),
+                          streamDigest(whole.records))
+                    << label;
+            }
         }
     }
 }

@@ -999,6 +999,94 @@ TEST(CompiledLog, ExecPinnedFollowsPinWindows)
     EXPECT_EQ(pinned[5], 0);
 }
 
+/** @p rounds loads of module 1, each creating traces 1-4 in it (the
+ *  second and later rounds re-create them: a module reload), pinning
+ *  trace 2 and running 1,500 executions before unpinning and
+ *  unloading; trace 9, outside any module, runs throughout. */
+AccessLog
+reloadRounds(int rounds)
+{
+    AccessLog log;
+    TimeUs now = 0;
+    log.append(Event::traceCreate(now++, 9, 48, cache::kNoModule));
+    for (int round = 0; round < rounds; ++round) {
+        log.append(Event::moduleLoad(now++, 1));
+        for (cache::TraceId id = 1; id <= 4; ++id) {
+            log.append(Event::traceCreate(now++, id, 64 * id, 1));
+        }
+        log.append(Event::pin(now++, 2));
+        for (std::uint64_t i = 0; i < 1500; ++i) {
+            log.append(Event::traceExec(now++, i % 7 == 0 ? 9 : 1 + i % 4));
+        }
+        log.append(Event::unpin(now++, 2));
+        log.append(Event::moduleUnload(now++, 1));
+    }
+    log.setDuration(now);
+    return log;
+}
+
+// A windowed compile holds, window by window, exactly the whole
+// compile's columns and chunks, and the whole log's trace tables and
+// module ranges from the first window on.
+TEST(CompiledLog, WindowsTileTheWholeCompile)
+{
+    const AccessLog log = reloadRounds(5);
+    const CompiledLog whole = CompiledLog::compile(log);
+    ASSERT_EQ(whole.traceCount(), 21u); // trace 9, then 4 per round
+    for (std::size_t window : {std::size_t{1}, std::size_t{7},
+                               std::size_t{1000}, std::size_t{4096},
+                               log.size() + 1}) {
+        CompiledLogWindows windows(log, window);
+        const CompiledLog &part = windows.log();
+        EXPECT_EQ(part.originalIds(), whole.originalIds()) << window;
+        for (DenseTraceId id = 0; id < whole.traceCount(); ++id) {
+            EXPECT_EQ(part.traceSize(id), whole.traceSize(id)) << id;
+            EXPECT_EQ(part.traceModule(id), whole.traceModule(id)) << id;
+        }
+        ASSERT_EQ(part.moduleRanges().size(), 1u);
+        EXPECT_EQ(part.moduleRanges()[0].loads, 5u);
+        EXPECT_EQ(part.moduleRanges()[0].unloads, 5u);
+        EXPECT_EQ(part.moduleRanges()[0].lastEvent, log.size() - 1);
+
+        std::size_t first = 0;
+        std::size_t chunk = 0;
+        do {
+            ASSERT_GT(part.size(), 0u) << window;
+            for (std::size_t i = 0; i < part.size(); ++i) {
+                const std::size_t at = first + i;
+                EXPECT_EQ(part.types()[i], whole.types()[at]) << at;
+                EXPECT_EQ(part.times()[i], whole.times()[at]) << at;
+                EXPECT_EQ(part.traces()[i], whole.traces()[at]) << at;
+                EXPECT_EQ(part.sizes()[i], whole.sizes()[at]) << at;
+                EXPECT_EQ(part.modules()[i], whole.modules()[at]) << at;
+                EXPECT_EQ(part.execPinned()[i], whole.execPinned()[at])
+                    << at;
+            }
+            for (const CompiledLog::Chunk &c : part.chunks()) {
+                ASSERT_LT(chunk, whole.chunks().size()) << window;
+                const CompiledLog::Chunk &w = whole.chunks()[chunk++];
+                EXPECT_EQ(first + c.first, w.first) << window;
+                EXPECT_EQ(c.count, w.count) << window;
+                EXPECT_EQ(c.typeMask, w.typeMask) << window;
+                EXPECT_EQ(c.barrier, w.barrier) << window;
+            }
+            first += part.size();
+            if (first < log.size()) {
+                EXPECT_GE(part.size(), window);
+            }
+        } while (windows.next());
+        EXPECT_EQ(first, log.size()) << window;
+        EXPECT_EQ(chunk, whole.chunks().size()) << window;
+        EXPECT_FALSE(windows.next());
+    }
+
+    const AccessLog empty;
+    CompiledLogWindows none(empty, 4);
+    EXPECT_TRUE(none.log().empty());
+    EXPECT_TRUE(none.log().chunks().empty());
+    EXPECT_FALSE(none.next());
+}
+
 TEST(CompiledLogDeath, DuplicateCreateIsFatal)
 {
     AccessLog log;
@@ -1012,6 +1100,21 @@ TEST(CompiledLogDeath, ExecBeforeCreateIsFatal)
     AccessLog log;
     log.append(Event::traceExec(1, 7));
     EXPECT_DEATH(CompiledLog::compile(log), "unknown trace");
+}
+
+TEST(CompiledLogDeath, WindowedExecBeforeCreateIsFatal)
+{
+    AccessLog log;
+    log.append(Event::traceCreate(0, 1, 64, cache::kNoModule));
+    log.append(Event::traceExec(1, 1));
+    log.append(Event::traceExec(2, 7));
+    EXPECT_DEATH(
+        {
+            CompiledLogWindows windows(log, 1);
+            while (windows.next()) {
+            }
+        },
+        "unknown trace");
 }
 
 TEST(EventType, Names)

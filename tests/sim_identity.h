@@ -1,14 +1,17 @@
 /**
  * @file
  * Identity helpers shared by the replay, tier, fleet, front-end,
- * workload and tracelog tests: the one field-by-field SimResult
- * comparator, the 64-bit FNV-1a digest the committed golden tables
- * are written in, the lookup and printing of those tables' rows, and
+ * workload, tracelog and oracle tests: the one field-by-field
+ * SimResult comparator, the 64-bit FNV-1a digest the committed golden
+ * tables are written in, the lookup and printing of those tables'
+ * rows (DigestRow and expectRow for rows of SimResult digests), and
  * the profile scaling the committed logs are generated at.
  *
- * Both walk one field list, numericFields(). A digest stands in for a
+ * Both walk one field list, numericFields(), which the Figure-8 model
+ * of figure8_oracle.h also reports. A digest stands in for a
  * field-by-field comparison against an implementation that no longer
- * exists; TierEquivalence.DigestCoversEveryComparedField checks that
+ * exists (the frozen pre-pipeline managers, the per-event replay
+ * loop); TierEquivalence.DigestCoversEveryComparedField checks that
  * changing any compared field, or the manager name, moves it.
  */
 

@@ -571,6 +571,39 @@ TEST(TemporalRecorded, DroppedUnloadMarkerDetected)
         << engine.textReport();
 }
 
+// A replay lane hands its probe the compiled log's dense ids. Bound
+// with the log's originalIds(), the checker still cross-checks the
+// pipeline in dense ids, but its findings quote the log's own ids.
+TEST(TemporalRecorded, BoundFindingsQuoteTheLogsTraceIds)
+{
+    using tracelog::Event;
+    tracelog::AccessLog log;
+    log.setBenchmark("quoted-ids");
+    log.append(Event::moduleLoad(0, 1));
+    log.append(Event::traceCreate(1, 4242, 64, 1));
+    log.append(Event::traceCreate(2, 777, 64, 1));
+    log.setDuration(2);
+    const tracelog::CompiledLog compiled =
+        tracelog::CompiledLog::compile(log);
+    std::unique_ptr<cache::TierPipeline> pipeline =
+        cache::findTierTopology("2tier")->build(2 * kKiB);
+
+    DiagnosticEngine engine;
+    TemporalChecker checker(engine);
+    checker.bindSubject(pipeline.get(), &compiled.originalIds());
+    sim::BatchedReplay replay(compiled);
+    replay.addLane(*pipeline, &checker);
+    replay.run();
+    ASSERT_TRUE(engine.empty()) << engine.textReport();
+
+    // Dense id 1 is trace 777, resident: insert it again.
+    checker.onInsert(frag(1), pipeline->tierLabel(0), 3);
+    const std::vector<analysis::Diagnostic> findings =
+        engine.findingsOf("tmp-double-residency");
+    ASSERT_EQ(findings.size(), 1u) << engine.textReport();
+    EXPECT_EQ(findings[0].location, "trace 777");
+}
+
 // ---------------------------------------------------------------
 // Fast-replay sidecar reconciliation.
 // ---------------------------------------------------------------

@@ -5,7 +5,7 @@
  *
  * It is written from the paper and from the placement rules stated in
  * codecache/cache_region.h's header, never from the cache code: a
- * per-event driver over an AccessLog with its raw trace ids, tiers
+ * per-event loop over an AccessLog with its raw trace ids, tiers
  * kept as an ordered list or an offset map, and one loop per rule.
  *
  *  - Replay (§6): a creation inserts; an execution looks the trace up,
@@ -279,7 +279,7 @@ class Tier
     std::uint64_t pinnedSkips_ = 0;
 };
 
-/** The hierarchy plus the replay driver. */
+/** The hierarchy plus the per-event replay loop. */
 class Figure8Model
 {
   public:

@@ -3,7 +3,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "codecache/cache_manager.h"
 #include "codecache/list_cache.h"
 #include "codecache/pseudo_circular_cache.h"
 #include "codecache/tier_pipeline.h"
@@ -426,28 +425,13 @@ void
 CacheStatePass::run(const AnalysisInput &input,
                     DiagnosticEngine &out) const
 {
-    const cache::CacheManager *manager = input.manager;
+    const cache::TierPipeline *manager = input.manager;
     if (manager == nullptr && input.runtime != nullptr) {
         manager = &input.runtime->manager();
     }
-    if (manager == nullptr) {
-        return;
+    if (manager != nullptr) {
+        checkTierPipeline(*manager, out);
     }
-    if (const auto *pipeline =
-            dynamic_cast<const cache::TierPipeline *>(manager)) {
-        checkTierPipeline(*pipeline, out);
-    }
-}
-
-void
-checkCacheState(const cache::CacheManager &manager,
-                DiagnosticEngine &out)
-{
-    AnalysisInput input;
-    input.manager = &manager;
-    CacheStatePass pass;
-    out.setCurrentPass(pass.name());
-    pass.run(input, out);
 }
 
 } // namespace gencache::analysis

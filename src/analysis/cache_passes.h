@@ -21,6 +21,9 @@
  *    the first tier or out of the last, counts match across adjacent
  *    tiers, the manager total is the sum of tier admissions).
  *
+ * The pass checks the pipeline its AnalysisInput names, or else the
+ * runtime's; analysis::checkManager runs it over a pipeline alone.
+ *
  * Check IDs: region-unsorted, region-split, region-overlap,
  * region-oob, region-pointer-oob, region-index, region-bytes,
  * region-pinned-count, list-ring-broken, list-free-broken, list-index,
@@ -58,10 +61,6 @@ class CacheStatePass : public Pass
  *  diagnostic locations, e.g. "nursery". */
 void checkLocalCache(const cache::LocalCache &cache,
                      const std::string &where, DiagnosticEngine &out);
-
-/** Run the cache-state pass over @p manager alone (test support). */
-void checkCacheState(const cache::CacheManager &manager,
-                     DiagnosticEngine &out);
 
 } // namespace gencache::analysis
 

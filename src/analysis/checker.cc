@@ -58,7 +58,7 @@ checkRuntime(const guest::GuestProgram &program,
 }
 
 DiagnosticEngine
-checkManager(const cache::CacheManager &manager)
+checkManager(const cache::TierPipeline &manager)
 {
     DiagnosticEngine engine;
     runPasses(AnalysisInput::forManager(manager), engine);
@@ -104,7 +104,7 @@ attachPhaseChecks(sim::BatchedReplay &replay,
     temporal->bindSubject(&pipeline, &replay.log().originalIds());
     replay.addLane(pipeline, temporal.get());
     replay.setCheckpointHook(
-        [engine, temporal](const cache::CacheManager &manager,
+        [engine, temporal](const cache::TierPipeline &manager,
                            TimeUs) {
             DiagnosticEngine snapshot;
             runPasses(AnalysisInput::forManager(manager), snapshot,

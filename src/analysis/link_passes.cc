@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "codecache/cache_manager.h"
+#include "codecache/tier_pipeline.h"
 #include "runtime/linker.h"
 #include "runtime/runtime.h"
 #include "support/format.h"
@@ -29,7 +29,7 @@ LinkGraphPass::run(const AnalysisInput &input,
     if (linker == nullptr) {
         return;
     }
-    const cache::CacheManager *manager = input.manager;
+    const cache::TierPipeline *manager = input.manager;
     if (manager == nullptr && input.runtime != nullptr) {
         manager = &input.runtime->manager();
     }

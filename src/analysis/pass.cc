@@ -23,7 +23,7 @@ AnalysisInput::forRuntime(const guest::GuestProgram &program,
 }
 
 AnalysisInput
-AnalysisInput::forManager(const cache::CacheManager &manager)
+AnalysisInput::forManager(const cache::TierPipeline &manager)
 {
     AnalysisInput input;
     input.manager = &manager;

@@ -522,18 +522,13 @@ TemporalChecker::finish()
 
 std::uint64_t
 runTemporalReplay(const tracelog::AccessLog &log,
-                  cache::CacheManager &manager, DiagnosticEngine &out,
+                  cache::TierPipeline &manager, DiagnosticEngine &out,
                   TemporalOptions options)
 {
-    auto *pipeline = dynamic_cast<cache::TierPipeline *>(&manager);
-    if (pipeline == nullptr) {
-        GENCACHE_PANIC("runTemporalReplay needs a TierPipeline, got {}",
-                       manager.name());
-    }
     TemporalChecker checker(out, options);
     sim::BatchedReplay replay(log);
-    checker.bindSubject(pipeline, &replay.log().originalIds());
-    replay.addLane(*pipeline, &checker);
+    checker.bindSubject(&manager, &replay.log().originalIds());
+    replay.addLane(manager, &checker);
     replay.run();
     checker.finish();
     return checker.eventCount();

@@ -85,7 +85,7 @@ struct TemporalOptions
 /**
  * Per-trace lifecycle state machine over a cache event stream.
  *
- * Attach with CacheManager::setListener (or as the probe of a
+ * Attach with TierPipeline::setListener (or as the probe of a
  * sim::BatchedReplay lane, which keeps the lane's cost accountant),
  * feed it a run, then call finish(). checkpoint() runs the non-destructive
  * cross-checks alone and is safe at any event boundary (the
@@ -217,9 +217,8 @@ class TemporalChecker : public cache::CacheEventListener
 int generationRank(cache::Generation gen);
 
 /**
- * Offline temporal check: replay @p log against @p manager, which
- * must be a TierPipeline (every production manager is), as a one-lane
- * blocked pass (sim::BatchedReplay, compiling the log window by
+ * Offline temporal check: replay @p log against @p manager as a
+ * one-lane blocked pass (sim::BatchedReplay, compiling the log window by
  * window) with a TemporalChecker bound to the pipeline and teed in as
  * the lane's probe (gencheck --journal). Findings quote the log's own
  * trace ids and land in @p out; finish() is called at the end of the
@@ -228,7 +227,7 @@ int generationRank(cache::Generation gen);
  * @return the number of cache events the checker observed.
  */
 std::uint64_t runTemporalReplay(const tracelog::AccessLog &log,
-                                cache::CacheManager &manager,
+                                cache::TierPipeline &manager,
                                 DiagnosticEngine &out,
                                 TemporalOptions options = {});
 

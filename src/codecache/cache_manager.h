@@ -1,26 +1,19 @@
 /**
  * @file
- * Global code cache management (paper §5): the hierarchy and policy of
- * interaction between caches.
+ * What global code cache management (paper §5) reports: the
+ * CacheEventListener every cache transition is delivered to, the
+ * TeeListener that fans one event stream out to two observers, and
+ * the ManagerStats counters of a manager.
  *
- * A CacheManager answers trace lookups and owns one or more local
- * caches. The driver protocol mirrors a dynamic optimizer: on a lookup
- * miss the caller regenerates the trace (paying the Table 2 costs) and
- * then calls insert(). Every cache transition is reported to an
- * optional CacheEventListener, which is how the cost model observes
- * evictions and promotions without coupling the cache code to it.
- *
- * TierPipeline (codecache/tier_pipeline.h) is the one implementation;
- * the generational and unified managers are configurations of it. The
- * runtime and the analysis passes hold this interface, while the
- * replay loop (sim::BatchedReplay) holds TierPipeline lanes directly.
+ * The manager itself is cache::TierPipeline (codecache/tier_pipeline.h),
+ * the one cache type; the generational and unified managers are named
+ * configurations of it.
  */
 
 #ifndef GENCACHE_CODECACHE_CACHE_MANAGER_H
 #define GENCACHE_CODECACHE_CACHE_MANAGER_H
 
 #include <cstdint>
-#include <string>
 
 #include "codecache/fragment.h"
 #include "codecache/local_cache.h"
@@ -206,60 +199,6 @@ struct ManagerStats
                    : static_cast<double>(misses) /
                          static_cast<double>(lookups);
     }
-};
-
-/** Interface of a global cache management scheme. */
-class CacheManager
-{
-  public:
-    virtual ~CacheManager() = default;
-
-    CacheManager() = default;
-    CacheManager(const CacheManager &) = delete;
-    CacheManager &operator=(const CacheManager &) = delete;
-
-    /** Human-readable configuration name for reports. */
-    virtual std::string name() const = 0;
-
-    /**
-     * Look up trace @p id at virtual time @p now.
-     * @return true on hit. On miss the caller must regenerate the
-     *         trace and call insert().
-     */
-    virtual bool lookup(TraceId id, TimeUs now) = 0;
-
-    /** Insert a newly generated trace. Must not be resident.
-     *  @return false when placement failed (trace runs uncached). */
-    virtual bool insert(TraceId id, std::uint32_t size_bytes,
-                        ModuleId module, TimeUs now) = 0;
-
-    /** Program-forced eviction of every trace tagged @p module. */
-    virtual void invalidateModule(ModuleId module, TimeUs now) = 0;
-
-    /** Mark/unmark @p id undeletable.
-     *  @return false when not resident. */
-    virtual bool setPinned(TraceId id, bool pinned) = 0;
-
-    /** @return true when @p id is resident in any cache. */
-    virtual bool contains(TraceId id) const = 0;
-
-    /** Sum of all local cache capacities in bytes. */
-    virtual std::uint64_t totalCapacity() const = 0;
-
-    /** Sum of bytes resident across all local caches. */
-    virtual std::uint64_t usedBytes() const = 0;
-
-    const ManagerStats &stats() const { return stats_; }
-
-    /** Attach @p listener (not owned; nullptr detaches). */
-    void setListener(CacheEventListener *listener)
-    {
-        listener_ = listener;
-    }
-
-  protected:
-    CacheEventListener *listener_ = nullptr;
-    ManagerStats stats_;
 };
 
 } // namespace gencache::cache

@@ -11,14 +11,15 @@
  *                count reached the promotion threshold move here,
  *                everything else is deleted.
  *
- * Since the tier-pipeline refactor this manager is a thin adapter: it
- * maps a GenerationalConfig onto a 3-tier TierPipeline with an
- * always-promote edge (nursery -> probation) and a threshold edge
- * (probation -> persistent). Figure 8's cascade, the residency index,
- * and all event emission live in TierPipeline. Stats and event
- * streams are pinned by the committed digests of
- * tests/test_tier_pipeline.cc, which the pre-pipeline monolith
- * reproduced when they were recorded.
+ * Since the tier-pipeline refactor this manager is a named
+ * configuration of TierPipeline: its constructor maps a
+ * GenerationalConfig onto a 3-tier pipeline with an always-promote
+ * edge (nursery -> probation) and a threshold edge (probation ->
+ * persistent), and it adds only views by Generation, keeping no state
+ * of its own. Figure 8's cascade, the residency index, and all event
+ * emission live in TierPipeline. Stats and event streams are pinned
+ * by the committed digests of tests/test_tier_pipeline.cc, which the
+ * pre-pipeline monolith reproduced when they were recorded.
  *
  * §5.3's eager variant — reaching the threshold on a probation *hit*
  * immediately triggers the upgrade — is the threshold edge's eager
@@ -73,8 +74,6 @@ class GenerationalCacheManager : public TierPipeline
   public:
     explicit GenerationalCacheManager(const GenerationalConfig &config);
 
-    const GenerationalConfig &config() const { return config_; }
-
     /** Which cache currently holds @p id; panics when absent. */
     Generation generationOf(TraceId id) const
     {
@@ -93,8 +92,6 @@ class GenerationalCacheManager : public TierPipeline
 
   private:
     std::size_t tierIndexOf(Generation gen) const;
-
-    GenerationalConfig config_;
 };
 
 } // namespace gencache::cache

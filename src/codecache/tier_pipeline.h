@@ -15,10 +15,13 @@
  *     variant).
  *
  * Figure 8's victim cascade, the TraceIndex residency map, dense-id
- * preparation, module invalidation, pinning, and CacheEventListener
- * emission all live here, once. GenerationalCacheManager and
- * UnifiedCacheManager are thin config-to-pipeline adapters; their
- * stats and event streams are pinned by digests in
+ * preparation, module invalidation, pinning, ManagerStats and
+ * CacheEventListener emission all live here, once. TierPipeline is the
+ * one cache type, with no base class: the runtime, the replay loop,
+ * the analysis passes and gencheck all hold it. GenerationalCacheManager
+ * and UnifiedCacheManager are named configurations that add only
+ * constructors and typed views; their stats and event streams are
+ * pinned by digests in
  * tests/test_tier_pipeline.cc, recorded while the pre-pipeline
  * monoliths still ran beside them and agreed.
  *
@@ -240,30 +243,69 @@ struct TierPipelineInit
 };
 
 /**
- * A CacheManager over an ordered pipeline of local caches.
+ * The global code cache manager (§5): an ordered pipeline of local
+ * caches.
  *
  * Fresh inserts land in tier 0; capacity victims of tier i are either
  * advanced into tier i+1 or deleted per the edge's PromotionPolicy;
  * victims of the last tier are deleted. Inserting into a tier may
  * evict victims there, which cascade further (Figure 8).
+ *
+ * The driver protocol mirrors a dynamic optimizer: on a lookup miss
+ * the caller regenerates the trace (paying the Table 2 costs) and
+ * then calls insert(). Every cache transition is reported to an
+ * optional CacheEventListener, which is how the cost model observes
+ * evictions and promotions without coupling the cache code to it.
  */
-class TierPipeline : public CacheManager
+class TierPipeline
 {
   public:
     explicit TierPipeline(TierPipelineInit init);
 
-    // The hot entry points are final: the adapters below never
-    // override them, and sealing lets the batched-replay kernel,
-    // whose lanes are TierPipelines, devirtualize them.
-    std::string name() const override { return name_; }
-    bool lookup(TraceId id, TimeUs now) final;
+    // Virtual because tests own adapters via unique_ptr<TierPipeline>.
+    virtual ~TierPipeline() = default;
+
+    TierPipeline(const TierPipeline &) = delete;
+    TierPipeline &operator=(const TierPipeline &) = delete;
+
+    /** Human-readable configuration name for reports. */
+    std::string name() const { return name_; }
+
+    /**
+     * Look up trace @p id at virtual time @p now.
+     * @return true on hit. On miss the caller must regenerate the
+     *         trace and call insert().
+     */
+    bool lookup(TraceId id, TimeUs now);
+
+    /** Insert a newly generated trace. Must not be resident.
+     *  @return false when placement failed (trace runs uncached). */
     bool insert(TraceId id, std::uint32_t size_bytes, ModuleId module,
-                TimeUs now) final;
-    void invalidateModule(ModuleId module, TimeUs now) final;
-    bool setPinned(TraceId id, bool pinned) final;
-    bool contains(TraceId id) const final;
-    std::uint64_t totalCapacity() const final;
-    std::uint64_t usedBytes() const final;
+                TimeUs now);
+
+    /** Program-forced eviction of every trace tagged @p module. */
+    void invalidateModule(ModuleId module, TimeUs now);
+
+    /** Mark/unmark @p id undeletable.
+     *  @return false when not resident. */
+    bool setPinned(TraceId id, bool pinned);
+
+    /** @return true when @p id is resident in any cache. */
+    bool contains(TraceId id) const;
+
+    /** Sum of all local cache capacities in bytes. */
+    std::uint64_t totalCapacity() const;
+
+    /** Sum of bytes resident across all local caches. */
+    std::uint64_t usedBytes() const;
+
+    const ManagerStats &stats() const { return stats_; }
+
+    /** Attach @p listener (not owned; nullptr detaches). */
+    void setListener(CacheEventListener *listener)
+    {
+        listener_ = listener;
+    }
 
     /** Declare that every trace id lies in [0, @p id_bound) (a
      *  CompiledLog replay) and switch every index to dense storage.
@@ -525,6 +567,8 @@ class TierPipeline : public CacheManager
         }
     }
 
+    CacheEventListener *listener_ = nullptr;
+    ManagerStats stats_;
     std::string name_;
     std::vector<TierSpec> specs_;
     std::vector<std::unique_ptr<LocalCache>> tiers_;

@@ -26,8 +26,7 @@ unifiedInit(std::uint64_t capacity, LocalPolicy policy)
 
 UnifiedCacheManager::UnifiedCacheManager(std::uint64_t capacity,
                                          LocalPolicy policy)
-    : TierPipeline(unifiedInit(capacity, policy)),
-      policy_(capacity == 0 ? LocalPolicy::Unbounded : policy)
+    : TierPipeline(unifiedInit(capacity, policy))
 {
 }
 

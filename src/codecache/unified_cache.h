@@ -3,8 +3,9 @@
  * The baseline global scheme: one unified trace cache (paper §6's
  * comparison baseline, sized at half the benchmark's maximum cache).
  *
- * Since the tier-pipeline refactor this is a single-tier TierPipeline
- * adapter. Stats and event streams are pinned by the committed digests
+ * Since the tier-pipeline refactor this is a one-tier configuration of
+ * TierPipeline that adds only views of its tier and keeps no state of
+ * its own. Stats and event streams are pinned by the committed digests
  * of tests/test_tier_pipeline.cc, which the pre-pipeline
  * implementation reproduced when they were recorded.
  */
@@ -16,7 +17,7 @@
 
 namespace gencache::cache {
 
-/** A single local cache behind the CacheManager interface. */
+/** A single local cache as a one-tier TierPipeline. */
 class UnifiedCacheManager : public TierPipeline
 {
   public:
@@ -34,12 +35,6 @@ class UnifiedCacheManager : public TierPipeline
 
     /** Peak occupancy; meaningful for the unbounded configuration. */
     std::uint64_t peakBytes() const;
-
-    /** Effective local policy (Unbounded when capacity was 0). */
-    LocalPolicy policy() const { return policy_; }
-
-  private:
-    LocalPolicy policy_;
 };
 
 } // namespace gencache::cache

@@ -5,7 +5,7 @@
 namespace gencache::runtime {
 
 Runtime::Runtime(guest::AddressSpace &space,
-                 cache::CacheManager &manager,
+                 cache::TierPipeline &manager,
                  std::uint32_t trace_threshold)
     : cache::CacheEventListener(/*wants_hits=*/false,
                                 /*wants_misses=*/false),

@@ -8,7 +8,7 @@
  *    cache and interpreted, while trace-head counters accumulate;
  *  - *trace generation mode*: once a head crosses the threshold, the
  *    executed path is recorded into a superblock (NET) and inserted
- *    into the managed trace cache; and
+ *    into the managed trace cache (a cache::TierPipeline); and
  *  - *trace execution*: resident traces run from the code cache,
  *    tail-chaining through patched links without dispatcher round
  *    trips.
@@ -41,7 +41,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "codecache/cache_manager.h"
+#include "codecache/tier_pipeline.h"
 #include "guest/address_space.h"
 #include "interp/interpreter.h"
 #include "opt/passes.h"
@@ -92,7 +92,7 @@ class Runtime : public cache::CacheEventListener
      * @param manager the global code cache manager under test
      * @param trace_threshold trace-head executions before generation
      */
-    Runtime(guest::AddressSpace &space, cache::CacheManager &manager,
+    Runtime(guest::AddressSpace &space, cache::TierPipeline &manager,
             std::uint32_t trace_threshold = kDefaultTraceThreshold);
 
     Runtime(const Runtime &) = delete;
@@ -146,7 +146,7 @@ class Runtime : public cache::CacheEventListener
     }
 
     /** The managed code cache under test. */
-    const cache::CacheManager &manager() const { return manager_; }
+    const cache::TierPipeline &manager() const { return manager_; }
 
     /** The guest address space (and its dense block index). */
     const guest::AddressSpace &space() const { return space_; }
@@ -226,7 +226,7 @@ class Runtime : public cache::CacheEventListener
     void syncBlockCapacity();
 
     guest::AddressSpace &space_;
-    cache::CacheManager &manager_;
+    cache::TierPipeline &manager_;
     interp::Interpreter interp_;
     interp::CpuState state_;
     BasicBlockCache bbCache_;

@@ -583,8 +583,7 @@ TEST(Analysis, DuplicateResidencyIsReported)
     std::vector<cache::Fragment> evicted;
     ASSERT_TRUE(persistent.insert(makeFragment(1, 100), evicted));
 
-    DiagnosticEngine engine;
-    analysis::checkCacheState(manager, engine);
+    DiagnosticEngine engine = analysis::checkManager(manager);
     EXPECT_TRUE(engine.hasCheck("gen-dup-residency"))
         << engine.textReport();
 }
@@ -642,8 +641,7 @@ TEST(Analysis, IntactCachesAreClean)
         manager.lookup(id, id);
         manager.lookup(id / 2 + 1, id);
     }
-    DiagnosticEngine engine;
-    analysis::checkCacheState(manager, engine);
+    DiagnosticEngine engine = analysis::checkManager(manager);
     EXPECT_TRUE(engine.empty()) << engine.textReport();
 }
 

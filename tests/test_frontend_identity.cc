@@ -208,7 +208,7 @@ enum class ManagerShape {
     Generational, ///< small nursery/probation/persistent pipeline
 };
 
-std::unique_ptr<cache::CacheManager>
+std::unique_ptr<cache::TierPipeline>
 makeManager(ManagerShape shape)
 {
     switch (shape) {
@@ -310,7 +310,7 @@ runProgram(const guest::SyntheticProgramConfig &config,
 {
     guest::SyntheticProgram synthetic =
         guest::generateSyntheticProgram(config);
-    std::unique_ptr<cache::CacheManager> manager = makeManager(shape);
+    std::unique_ptr<cache::TierPipeline> manager = makeManager(shape);
 
     guest::AddressSpace space;
     runtime::Runtime runtime(space, *manager, threshold);

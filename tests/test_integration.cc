@@ -39,7 +39,7 @@ replayOneLane(const tracelog::AccessLog &log,
 
 /** Run a synthetic program under the runtime and return its log. */
 tracelog::AccessLog
-runLiveProgram(cache::CacheManager &manager, std::uint64_t seed)
+runLiveProgram(cache::TierPipeline &manager, std::uint64_t seed)
 {
     guest::SyntheticProgramConfig config;
     config.seed = seed;

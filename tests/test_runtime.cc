@@ -302,7 +302,7 @@ class RuntimeFixture : public ::testing::Test
 {
   protected:
     void
-    buildAndRun(cache::CacheManager &manager,
+    buildAndRun(cache::TierPipeline &manager,
                 std::uint32_t threshold = 10)
     {
         guest::SyntheticProgramConfig config;

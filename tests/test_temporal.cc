@@ -758,7 +758,7 @@ TEST(TemporalGolden, FastReplayLanesCleanOffline)
             replay.addLane(*manager, checkers.back().get());
         }
         replay.setCheckpointHook(
-            [&](const cache::CacheManager &manager, TimeUs) {
+            [&](const cache::TierPipeline &manager, TimeUs) {
                 for (std::size_t i = 0; i < managers.size(); ++i) {
                     if (managers[i].get() == &manager) {
                         checkers[i]->checkpoint();

@@ -115,7 +115,7 @@ makeGuestProgram(std::uint64_t seed)
 
 /** Execute a synthetic guest to completion and check everything. */
 SubjectReport
-checkLiveSubject(const std::string &name, cache::CacheManager &manager,
+checkLiveSubject(const std::string &name, cache::TierPipeline &manager,
                  std::uint64_t seed)
 {
     guest::SyntheticProgram synthetic = makeGuestProgram(seed);
@@ -139,7 +139,7 @@ checkLiveSubject(const std::string &name, cache::CacheManager &manager,
  *  over the end state. Everything lands in one engine. */
 analysis::DiagnosticEngine
 replayWithTemporal(const tracelog::AccessLog &log,
-                   cache::CacheManager &manager)
+                   cache::TierPipeline &manager)
 {
     analysis::DiagnosticEngine engine;
     analysis::runTemporalReplay(log, manager, engine);

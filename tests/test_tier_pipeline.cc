@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -571,6 +572,22 @@ TEST(FromProportionsDeathTest, InfeasibleTotalsStillFatal)
     EXPECT_DEATH(cache::GenerationalConfig::fromProportions(
                      2, 1.0 / 3.0, 1.0 / 3.0, 1),
                  "persistent");
+}
+
+TEST(FromProportionsDeathTest, NonFiniteFractionsFatal)
+{
+    // NaN compares false both ways, so it must fail the range checks
+    // rather than slip past them into a 2^63-byte tier.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_DEATH(cache::GenerationalConfig::fromProportions(
+                     92'262, nan, 0.10, 1),
+                 "invalid generational proportions");
+    EXPECT_DEATH(cache::GenerationalConfig::fromProportions(
+                     92'262, 0.45, nan, 1),
+                 "invalid generational proportions");
+    EXPECT_DEATH(cache::GenerationalConfig::fromProportions(
+                     92'262, nan, nan, 1),
+                 "invalid generational proportions");
 }
 
 // --- satellite: pin bit survives tier moves ---

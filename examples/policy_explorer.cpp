@@ -13,6 +13,13 @@
  *   probation%  probation share of the budget (default 10)
  *   threshold   probation promotion threshold (default 1)
  *
+ * Each number is parsed whole and must be finite. The pressure must be
+ * > 0, and the budget it gives must stay below 2^63 bytes; the
+ * threshold is a whole unsigned decimal below 2^32, with no sign. A
+ * malformed number or a sixth argument exits 2 with the usage text.
+ * Range errors the library reports itself (nursery% + probation% of
+ * 100 or more, a share of 0 or less, threshold 0) exit 1.
+ *
  * Prints the unified baseline and the requested generational layout
  * side by side, plus the per-generation flow statistics. The managed
  * budget is sim::managedCapacityBytes of the unbounded peak, and the
@@ -20,8 +27,10 @@
  * behind runGenerationalBatch()) whose manager is kept for the flows.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "codecache/generational_cache.h"
@@ -29,19 +38,72 @@
 #include "sim/experiment.h"
 #include "stats/table.h"
 #include "support/format.h"
+#include "support/rng.h"
 #include "workload/profile.h"
+
+namespace {
+
+int
+usage()
+{
+    std::fprintf(stderr,
+                 "usage: policy_explorer [benchmark] [pressure] "
+                 "[nursery%%] [probation%%] [threshold]\n"
+                 "  pressure, nursery%% and probation%% are finite "
+                 "numbers, pressure > 0\n"
+                 "  threshold is a whole decimal below 2^32\n");
+    return 2;
+}
+
+/** Report @p text as a malformed @p what; @return the usage exit. */
+int
+badArgument(const char *what, const char *text)
+{
+    std::fprintf(stderr, "policy_explorer: %s, got '%s'\n", what, text);
+    return usage();
+}
+
+/** Parse all of @p text as a finite number. */
+bool
+parseFinite(const char *text, double &value)
+{
+    char *end = nullptr;
+    value = std::strtod(text, &end);
+    return end != text && *end == '\0' && std::isfinite(value);
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
 {
     using namespace gencache;
 
+    if (argc > 6) {
+        return badArgument("at most five arguments", argv[6]);
+    }
     std::string benchmark = argc > 1 ? argv[1] : "gzip";
-    double pressure = argc > 2 ? std::atof(argv[2]) : 0.5;
-    double nursery_pct = argc > 3 ? std::atof(argv[3]) : 45.0;
-    double probation_pct = argc > 4 ? std::atof(argv[4]) : 10.0;
-    unsigned threshold =
-        argc > 5 ? static_cast<unsigned>(std::atoi(argv[5])) : 1;
+    double pressure = 0.5;
+    if (argc > 2 &&
+        (!parseFinite(argv[2], pressure) || !(pressure > 0.0))) {
+        return badArgument("pressure wants a finite number > 0",
+                           argv[2]);
+    }
+    double nursery_pct = 45.0;
+    if (argc > 3 && !parseFinite(argv[3], nursery_pct)) {
+        return badArgument("nursery% wants a finite number", argv[3]);
+    }
+    double probation_pct = 10.0;
+    if (argc > 4 && !parseFinite(argv[4], probation_pct)) {
+        return badArgument("probation% wants a finite number", argv[4]);
+    }
+    std::uint64_t threshold = 1;
+    if (argc > 5 &&
+        (!parseSeed(argv[5], threshold) ||
+         threshold > std::numeric_limits<std::uint32_t>::max())) {
+        return badArgument("threshold wants a whole decimal below 2^32",
+                           argv[5]);
+    }
 
     workload::BenchmarkProfile profile =
         workload::findProfile(benchmark);
@@ -55,6 +117,12 @@ main(int argc, char **argv)
 
     sim::ExperimentRunner runner(profile);
     sim::SimResult unbounded = runner.runUnbounded();
+    // managedCapacityBytes rounds through std::llround, whose result
+    // is a signed 64-bit number.
+    if (static_cast<double>(unbounded.peakBytes) * pressure >= 0x1p63) {
+        return badArgument("pressure gives a budget past 2^63 bytes",
+                           argv[2]);
+    }
     std::uint64_t capacity =
         sim::managedCapacityBytes(unbounded.peakBytes, pressure);
 
@@ -67,17 +135,19 @@ main(int argc, char **argv)
     sim::SimResult unified = runner.runUnified(capacity);
 
     sim::GenerationalLayout layout;
+    layout.nurseryFrac = nursery_pct / 100.0;
+    layout.probationFrac = probation_pct / 100.0;
+    layout.promotionThreshold = static_cast<std::uint32_t>(threshold);
+    // Built before the label, so the shares are validated before they
+    // are cast to int.
+    cache::GenerationalCacheManager manager(
+        layout.toConfig(capacity));
     layout.label = format("{}-{}-{} thr {}",
                           static_cast<int>(nursery_pct),
                           static_cast<int>(probation_pct),
                           static_cast<int>(100.0 - nursery_pct -
                                            probation_pct),
                           threshold);
-    layout.nurseryFrac = nursery_pct / 100.0;
-    layout.probationFrac = probation_pct / 100.0;
-    layout.promotionThreshold = threshold;
-    cache::GenerationalCacheManager manager(
-        layout.toConfig(capacity));
     sim::BatchedReplay replay(runner.compiled());
     replay.setCostTables(&runner.costTables());
     replay.addLane(manager);

@@ -11,8 +11,8 @@
 #      on 4 workers) plus the fleet_replay smoke bench — the shared
 #      code store's shard locks under real races
 #   4. AddressSanitizer+UBSan build: first the `replay`-, `frontend`-,
-#      `tiers`-, `workload`-, `tracelog`- and `figures`-labelled
-#      bit-identity tests (the replay loop vs its committed rows and
+#      `tiers`-, `workload`-, `tracelog`-, `figures`- and
+#      `fuzz`-labelled tests (the replay loop vs its committed rows and
 #      vs the independent Figure-8 model on random topologies and
 #      logs, the live runtime's logs and stats vs their committed
 #      digests, the tier-pipeline adapters vs their committed
@@ -21,8 +21,10 @@
 #      permutation vs std::stable_sort, the gclog codec vs its
 #      committed encodings and the binary and text corrupt-stream
 #      outcomes, Table 1 and every paper figure vs their committed
-#      digests — the memory-unsafe-optimization tripwires), then the
-#      rest of the suite
+#      digests — the memory-unsafe-optimization tripwires — and the
+#      tool-level fuzz cases, seeded corruptions of those streams fed
+#      to the sanitized gencheck --journal and logreplay_tool replay),
+#      then the rest of the suite
 #   5. smoke policy tournament (2 profiles x ~28 configurations) —
 #      the sharded multi-config replay driver end-to-end, run in the
 #      plain build and (unless --fast) again under ASan+UBSan; the
@@ -50,7 +52,8 @@
 #      reload journal must pass gencheck --journal and replay through
 #      logreplay_tool; also exercises the distinct load-failure exit
 #      code (3) on a missing journal and on journals whose events break
-#      the log's rules
+#      the log's rules, where logreplay_tool replay must exit 1 (its
+#      fatal), not die by a signal
 #  10. clang -Wthread-safety -Werror compile of the annotated tree
 #      (ThreadPool, shared sweep/tournament state); self-skips with a
 #      notice when no clang toolchain is installed
@@ -95,17 +98,19 @@ if [[ $fast -eq 0 ]]; then
     # locks; TSan must stay silent.
     (cd build-tsan && bench/fleet_replay --smoke)
 
-    step "ASan+UBSan build + replay/frontend/tiers/workload/tracelog/figures tests"
+    step "ASan+UBSan build + replay/frontend/tiers/workload/tracelog/figures/fuzz tests"
     cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DGENCACHE_SANITIZE=address,undefined \
         >/tmp/gencache-asan-configure.log
     cmake --build build-asan -j "$jobs"
     ctest --test-dir build-asan --output-on-failure \
-        -L "replay|frontend|tiers|workload|tracelog|figures" -j "$jobs"
+        -L "replay|frontend|tiers|workload|tracelog|figures|fuzz" \
+        -j "$jobs"
 
     step "ASan+UBSan remaining test suite"
     ctest --test-dir build-asan --output-on-failure \
-        -LE "replay|frontend|tiers|workload|tracelog|figures" -j "$jobs"
+        -LE "replay|frontend|tiers|workload|tracelog|figures|fuzz" \
+        -j "$jobs"
 else
     step "skipping sanitizer builds (--fast)"
 fi
@@ -178,7 +183,8 @@ JOURNAL
 # creating it, use the reserved trace id (2^64 - 1), create a trace in
 # a module that is not loaded, or spell a number with a sign (the
 # text reader takes only whole unsigned decimals that fit the field,
-# so -1 is rejected).
+# so -1 is rejected). logreplay_tool replay must fail to load each of
+# them with its fatal (exit 1), not die by a signal.
 cat >build-ci/journals/exec-before-create.gclog <<'JOURNAL'
 gclog 1
 benchmark broken
@@ -226,6 +232,14 @@ for journal in does-not-exist.gclogb exec-before-create.gclog \
     if [[ $load_rc -ne 3 ]]; then
         echo "ci: gencheck load failure on $journal must exit 3" \
             "(got $load_rc)" >&2
+        exit 1
+    fi
+    replay_rc=0
+    "$root"/build-ci/examples/logreplay_tool replay \
+        "build-ci/journals/$journal" 2>/dev/null || replay_rc=$?
+    if [[ $replay_rc -ne 1 ]]; then
+        echo "ci: logreplay_tool replay of $journal must exit 1" \
+            "(got $replay_rc)" >&2
         exit 1
     fi
 done

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "codecache/unified_cache.h"
+#include "corrupt_streams.h"
 #include "guest/synthetic_program.h"
 #include "runtime/runtime.h"
 #include "sim_identity.h"
@@ -42,24 +43,7 @@
 namespace gencache::tracelog {
 namespace {
 
-AccessLog
-sampleLog()
-{
-    AccessLog log;
-    log.setBenchmark("sample");
-    log.setDuration(1000);
-    log.setFootprintBytes(4096);
-    log.append(Event::moduleLoad(0, 0));
-    log.append(Event::moduleLoad(0, 1));
-    log.append(Event::traceCreate(10, 1, 100, 0));
-    log.append(Event::traceExec(20, 1));
-    log.append(Event::traceCreate(30, 2, 200, 1));
-    log.append(Event::pin(40, 2));
-    log.append(Event::unpin(50, 2));
-    log.append(Event::traceExec(900, 1));
-    log.append(Event::moduleUnload(950, 1));
-    return log;
-}
+using corrupt::sampleLog;
 
 TEST(AccessLog, TracksCreatedVolume)
 {
@@ -652,43 +636,6 @@ logDigest(const AccessLog &log)
     return hash.value();
 }
 
-/** Corrupt @p bytes as @p rng draws it: 1-4 bit flips, a splice of
- *  1-64 bytes copied from elsewhere in the stream, or a truncation.
- *  @return what was done. */
-std::string
-mutate(std::string &bytes, Rng &rng)
-{
-    const auto size = static_cast<std::int64_t>(bytes.size());
-    switch (rng.uniformInt(0, 2)) {
-      case 0: {
-        std::string what = "flip bits";
-        for (auto flips = rng.uniformInt(1, 4); flips > 0; --flips) {
-            const std::int64_t bit = rng.uniformInt(0, 8 * size - 1);
-            bytes[static_cast<std::size_t>(bit / 8)] ^=
-                static_cast<char>(1 << (bit % 8));
-            what += " " + std::to_string(bit);
-        }
-        return what;
-      }
-      case 1: {
-        const std::int64_t length =
-            std::min<std::int64_t>(rng.uniformInt(1, 64), size);
-        const std::int64_t from = rng.uniformInt(0, size - length);
-        const std::int64_t to = rng.uniformInt(0, size - length);
-        const std::string piece = bytes.substr(
-            static_cast<std::size_t>(from),
-            static_cast<std::size_t>(length));
-        bytes.replace(static_cast<std::size_t>(to), piece.size(), piece);
-        return format("splice {} bytes from {} to {}", length, from, to);
-      }
-      default: {
-        const std::int64_t cut = rng.uniformInt(0, size - 1);
-        bytes.resize(static_cast<std::size_t>(cut));
-        return format("truncate to {} bytes", cut);
-      }
-    }
-}
-
 /** One corrupted stream's committed outcomes: the FNV-1a over every
  *  case's outcome, in case order, and the low hex digit of each
  *  case's outcome, which locates the first case that moved. */
@@ -748,45 +695,16 @@ TEST(Serialize, CorruptStreamsMatchCommittedOutcomes)
     constexpr int kCasesPerStream = 300;
     const std::string stem = ::testing::TempDir() + "gencache_corrupt_" +
                              std::to_string(getpid());
-    const std::pair<const char *, AccessLog> logs[] = {
-        {"sample", sampleLog()},
-        {"solitaire", workload::generateWorkload(identity::scaledProfile(
-                          workload::findProfile("solitaire"), 0.03))},
-    };
-    // In seed order: the binary streams first, as they were committed
-    // before the text ones.
-    struct Stream
-    {
-        std::string label;
-        std::string bytes;
-        std::string path; ///< its extension picks the reader
-    };
-    std::vector<Stream> streams;
-    for (const auto &[name, log] : logs) {
-        for (int version : {1, 2}) {
-            std::stringstream stream;
-            writeBinary(log, stream, version);
-            streams.push_back({std::string(name) + " v" +
-                                   std::to_string(version),
-                               stream.str(), stem + ".gclogb"});
-        }
-    }
-    for (const auto &[name, log] : logs) {
-        std::stringstream stream;
-        writeText(log, stream);
-        streams.push_back({std::string(name) + " text", stream.str(),
-                           stem + ".gclog"});
-    }
     std::uint64_t seed = 18;
-    for (const Stream &clean : streams) {
-        const std::string &path = clean.path;
+    for (const corrupt::CleanStream &clean : corrupt::cleanStreams()) {
+        const std::string path = stem + clean.extension;
         Rng rng(seed++);
         identity::Fnv1a digest;
         std::string cases;
         std::vector<std::string> described;
         for (int i = 0; i < kCasesPerStream; ++i) {
             std::string bytes = clean.bytes;
-            const std::string mutation = mutate(bytes, rng);
+            const std::string mutation = corrupt::mutate(bytes, rng);
             std::ofstream(path, std::ios::binary) << bytes;
             AccessLog loaded;
             std::string result;

@@ -23,6 +23,9 @@ set(cases
     "2|replay|${log}|64kb"
     "2|replay|${log}|0.0001"
     "2|replay|${log}|1e30"
+    "2|replay|${log}| 64"
+    "2|replay|${log}|\t64"
+    "2|replay|${log}|+64"
     "2|replay|${log}|--bogus"
     "2|--bogus|replay|${log}|64"
     "2|replay|${log}|64|--bogus"

@@ -17,6 +17,11 @@ set(cases
     "2|gzip|inf"
     "2|gzip|nan"
     "2|gzip|0.5x"
+    "2|gzip| 0.5"
+    "2|gzip|+0.5"
+    "2|gzip|0.5| 45|10"
+    "2|gzip|0.5|45| 10"
+    "2|gzip|0.5|45|-10"
     "2|gzip|0.5|nan|10"
     "2|gzip|0.5|45|nan"
     "2|gzip|0.5|nan|nan|1"

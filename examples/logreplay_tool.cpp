@@ -17,13 +17,17 @@
  *                    the version from the file's magic).
  *
  * <seed> is a whole decimal number; capacityKb a finite number > 0
- * (omit it for the paper's 50%-of-maxCache point). Malformed values
- * and unknown options are usage errors (exit 2). replay compiles the
- * loaded log once and replays it as one-lane blocked passes
- * (sim::BatchedReplay): the unbounded pre-pass that finds maxCache,
- * then the unified cache.
+ * that starts with a digit or '.' (omit it for the paper's
+ * 50%-of-maxCache point). Malformed values and unknown options are
+ * usage errors (exit 2). replay compiles the loaded log once and
+ * replays it as one-lane blocked passes (sim::BatchedReplay): the
+ * unbounded pre-pass that finds maxCache, then the unified cache. It
+ * prints the unified cache's lookups, misses and Table 2 overhead,
+ * naming the overhead's trace-generation part (every created trace is
+ * generated once, so that part is never 0).
  */
 
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -62,12 +66,17 @@ usage()
     return 2;
 }
 
-/** Parse all of @p text as a capacity in KB: finite, > 0, and at
- *  least one byte that fits in 64 bits (0 bytes would mean an
- *  unbounded cache). */
+/** Parse all of @p text as a capacity in KB: a decimal number
+ *  starting with a digit or '.', finite, > 0, and at least one byte
+ *  that fits in 64 bits (0 bytes would mean an unbounded cache). */
 bool
 parseCapacityKb(const std::string &text, std::uint64_t &bytes)
 {
+    if (text.empty() ||
+        (std::isdigit(static_cast<unsigned char>(text[0])) == 0 &&
+         text[0] != '.')) {
+        return false; // strtod would skip blanks and take a sign
+    }
     char *end = nullptr;
     double kb = std::strtod(text.c_str(), &end);
     if (end == text.c_str() || *end != '\0' || !std::isfinite(kb)) {
@@ -160,13 +169,17 @@ cmdReplay(const std::string &path, std::uint64_t capacity)
     sim::SimResult result = replay(manager);
     std::printf("replayed '%s' against %s\n",
                 compiled.benchmark().c_str(), manager.name().c_str());
-    std::printf("lookups %llu, misses %llu (%s), evict+regen "
-                "overhead %s instructions\n",
+    // The overhead total includes generating every created trace
+    // once, misses or not; name that part.
+    std::printf("lookups %llu, misses %llu (%s), overhead %s "
+                "instructions (trace generation %s)\n",
                 static_cast<unsigned long long>(result.lookups),
                 static_cast<unsigned long long>(result.misses),
                 percent(result.missRate(), 2).c_str(),
                 withCommas(static_cast<std::int64_t>(
-                    result.overhead.total())).c_str());
+                    result.overhead.total())).c_str(),
+                withCommas(static_cast<std::int64_t>(
+                    result.overhead.traceGeneration)).c_str());
     return 0;
 }
 

@@ -13,12 +13,13 @@
  *   probation%  probation share of the budget (default 10)
  *   threshold   probation promotion threshold (default 1)
  *
- * Each number is parsed whole and must be finite. The pressure must be
- * > 0, and the budget it gives must stay below 2^63 bytes; the
- * threshold is a whole unsigned decimal below 2^32, with no sign. A
- * malformed number or a sixth argument exits 2 with the usage text.
- * Range errors the library reports itself (nursery% + probation% of
- * 100 or more, a share of 0 or less, threshold 0) exit 1.
+ * Each number is parsed whole, starts with a digit or '.' (no blank
+ * or sign) and must be finite. The pressure must be > 0, and the
+ * budget it gives must stay below 2^63 bytes; the threshold is a whole
+ * unsigned decimal below 2^32. A malformed number or a sixth argument
+ * exits 2 with the usage text. Range errors the library reports
+ * itself (nursery% + probation% of 100 or more, a share of 0,
+ * threshold 0) exit 1.
  *
  * Prints the unified baseline and the requested generational layout
  * side by side, plus the per-generation flow statistics. The managed
@@ -27,6 +28,7 @@
  * behind runGenerationalBatch()) whose manager is kept for the flows.
  */
 
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -50,7 +52,7 @@ usage()
                  "usage: policy_explorer [benchmark] [pressure] "
                  "[nursery%%] [probation%%] [threshold]\n"
                  "  pressure, nursery%% and probation%% are finite "
-                 "numbers, pressure > 0\n"
+                 "numbers starting with a digit or '.', pressure > 0\n"
                  "  threshold is a whole decimal below 2^32\n");
     return 2;
 }
@@ -63,10 +65,15 @@ badArgument(const char *what, const char *text)
     return usage();
 }
 
-/** Parse all of @p text as a finite number. */
+/** Parse all of @p text as a finite decimal number that starts with
+ *  a digit or '.'. */
 bool
 parseFinite(const char *text, double &value)
 {
+    if (std::isdigit(static_cast<unsigned char>(text[0])) == 0 &&
+        text[0] != '.') {
+        return false; // strtod would skip blanks and take a sign
+    }
     char *end = nullptr;
     value = std::strtod(text, &end);
     return end != text && *end == '\0' && std::isfinite(value);

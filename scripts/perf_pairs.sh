@@ -20,11 +20,21 @@
 # pair.
 #
 # It prints, for each end-to-end metric of BENCHMARK.json, each side's
-# median and quartiles, the change of the medians and HEAD's wins
-# (ties count for neither side). It exits 1 only when a run fails or
-# reports failed > 0 (or correct false), and 2 on a usage error;
-# judging the numbers is left to the reader. Same-seed runs on a
-# shared host drift 15-50%, so scripts/ci.sh does not run it.
+# median and quartiles, the change of the medians, HEAD's wins (ties
+# count for neither side) and a verdict, the first that applies:
+#
+#   gain        HEAD wins at least 9 in 10 of the pairs, and its median
+#               beats BASE's by more than BASE's quartile spread
+#   unresolved  BASE's quartile spread, relative to its median, exceeds
+#               the metric's BENCHMARK.json bound: too noisy to tell
+#   regressed   HEAD's median is worse than BASE's by more than the
+#               bound
+#   held        otherwise
+#
+# It exits 1 only when a run fails or reports failed > 0 (or correct
+# false), and 2 on a usage error; a verdict never changes the exit
+# status. Same-seed runs on a shared host drift 15-50%, so
+# scripts/ci.sh does not run it.
 set -euo pipefail
 
 usage() {
@@ -153,8 +163,23 @@ def quartiles(values):
     return q1, median, q3
 
 
+def verdict(b, h, wins, lower, bound):
+    """The first of gain, unresolved, regressed and held that holds."""
+    bq1, bmed, bq3 = quartiles(b)
+    _, hmed, _ = quartiles(h)
+    better = (bmed - hmed) if lower else (hmed - bmed)
+    if 10 * wins >= 9 * pairs and better > bq3 - bq1:
+        return "gain"
+    if not bmed or (bq3 - bq1) / abs(bmed) > bound:
+        return "unresolved"
+    if -better / abs(bmed) > bound:
+        return "regressed"
+    return "held"
+
+
 print(f"{'metric':<12} {'BASE median [q1, q3]':<28} "
-      f"{'HEAD median [q1, q3]':<28} {'change':>8} {'HEAD wins':>10}")
+      f"{'HEAD median [q1, q3]':<28} {'change':>8} {'HEAD wins':>10} "
+      f"{'bound':>6}  verdict")
 for metric in json.load(open(bench_path))["end_to_end"]:
     name, lower = metric["name"], metric["better"] == "lower"
     b = [run[name]["value"] for run in base_runs]
@@ -165,5 +190,7 @@ for metric in json.load(open(bench_path))["end_to_end"]:
     change = (hmed - bmed) / bmed * 100 if bmed else float("nan")
     print(f"{name:<12} {f'{bmed:.4g} [{bq1:.4g}, {bq3:.4g}]':<28} "
           f"{f'{hmed:.4g} [{hq1:.4g}, {hq3:.4g}]':<28} "
-          f"{change:>+7.1f}% {f'{wins}/{pairs}':>10}")
+          f"{change:>+7.1f}% {f'{wins}/{pairs}':>10} "
+          f"{metric['bound']:>6.0%}  "
+          f"{verdict(b, h, wins, lower, metric['bound'])}")
 PY

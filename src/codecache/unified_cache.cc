@@ -1,6 +1,5 @@
 #include "codecache/unified_cache.h"
 
-#include "codecache/list_cache.h"
 #include "support/format.h"
 
 namespace gencache::cache {
@@ -28,16 +27,6 @@ UnifiedCacheManager::UnifiedCacheManager(std::uint64_t capacity,
                                          LocalPolicy policy)
     : TierPipeline(unifiedInit(capacity, policy))
 {
-}
-
-std::uint64_t
-UnifiedCacheManager::peakBytes() const
-{
-    auto *unbounded = dynamic_cast<const UnboundedCache *>(&local());
-    if (unbounded != nullptr) {
-        return unbounded->peakBytes();
-    }
-    return local().usedBytes();
 }
 
 } // namespace gencache::cache

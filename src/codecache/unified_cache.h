@@ -32,9 +32,6 @@ class UnifiedCacheManager : public TierPipeline
 
     /** The underlying local cache (stats, tests). */
     const LocalCache &local() const { return tierCache(0); }
-
-    /** Peak occupancy; meaningful for the unbounded configuration. */
-    std::uint64_t peakBytes() const;
 };
 
 } // namespace gencache::cache

@@ -115,7 +115,8 @@ BatchedReplay::runChunk(Lane &lane,
         const TimeUs now = times[first];
         if (log_.types()[first] ==
             tracelog::EventType::ModuleUnload) {
-            pipeline.invalidateModule(log_.modules()[first], now);
+            // A module event's trace column holds its module.
+            pipeline.invalidateModule(log_.traces()[first], now);
         }
         if (checkpointHook_) {
             checkpointHook_(pipeline, now);
@@ -142,18 +143,18 @@ BatchedReplay::runChunk(Lane &lane,
     }
 
     const tracelog::EventType *types = log_.types().data();
-    const std::uint32_t *sizes = log_.sizes().data();
-    const cache::ModuleId *modules = log_.modules().data();
     for (std::size_t i = first; i < end; ++i) {
         const TimeUs now = times[i];
         const tracelog::DenseTraceId dense = traces[i];
         switch (types[i]) {
-          case tracelog::EventType::TraceCreate:
+          case tracelog::EventType::TraceCreate: {
+            const std::uint32_t size = log_.traceSize(dense);
             ++result.createdTraces;
-            result.createdBytes += sizes[i];
-            pipeline.insert(dense, sizes[i], modules[i], now);
+            result.createdBytes += size;
+            pipeline.insert(dense, size, log_.traceModule(dense), now);
             note_peak();
             break;
+          }
           case tracelog::EventType::TraceExec:
             ++result.lookups;
             if (pipeline.lookup(dense, now)) {
@@ -248,21 +249,21 @@ BatchedReplay::runChunkFast(Lane &lane,
         // Mixed chunk: keep the event switch but serve the exec
         // events (the bulk even here) from the sidecar.
         const tracelog::EventType *types = log_.types().data();
-        const std::uint32_t *sizes = log_.sizes().data();
-        const cache::ModuleId *modules = log_.modules().data();
         for (std::size_t i = chunk.first; i < end; ++i) {
             const tracelog::DenseTraceId dense = traces[i];
             if (i < fetchEnd) {
                 pipeline.fastPrefetch(traces[i + kProbeAhead]);
             }
             switch (types[i]) {
-              case tracelog::EventType::TraceCreate:
+              case tracelog::EventType::TraceCreate: {
+                const std::uint32_t size = log_.traceSize(dense);
                 ++result.createdTraces;
-                result.createdBytes += sizes[i];
-                pipeline.insert(dense, sizes[i], modules[i],
+                result.createdBytes += size;
+                pipeline.insert(dense, size, log_.traceModule(dense),
                                 times[i]);
                 note_peak();
                 break;
+              }
               case tracelog::EventType::TraceExec:
                 ++lookups;
                 fast_exec(i, dense);

@@ -83,18 +83,18 @@ replayOneLane(const ExperimentRunner &runner,
 
 ExperimentRunner::ExperimentRunner(workload::BenchmarkProfile profile)
     : profile_(std::move(profile)),
-      log_(workload::generateWorkload(profile_))
+      compiled_(workload::generateCompiledWorkload(profile_))
 {
 }
 
-const tracelog::CompiledLog &
-ExperimentRunner::compiled() const
+const tracelog::AccessLog &
+ExperimentRunner::log() const
 {
-    std::call_once(compiledOnce_, [this]() {
-        compiled_ = std::make_unique<tracelog::CompiledLog>(
-            tracelog::CompiledLog::compile(log_));
+    std::call_once(logOnce_, [this]() {
+        log_ = std::make_unique<tracelog::AccessLog>(
+            compiled_.toAccessLog());
     });
-    return *compiled_;
+    return *log_;
 }
 
 const CostTables &
@@ -118,9 +118,6 @@ ExperimentRunner::runUnbounded() const
     }
     cache::UnifiedCacheManager manager(0);
     SimResult result = replayOneLane(*this, manager);
-    // The list cache tracks its own peak; prefer it (it includes the
-    // occupancy between replay samples).
-    result.peakBytes = std::max(result.peakBytes, manager.peakBytes());
     MutexLock lock(memoMutex_);
     if (!unbounded_.has_value()) {
         unbounded_ = result;

@@ -11,11 +11,13 @@
  *  4. compare miss rates (Fig 9), eliminated misses (Fig 10), and
  *     Table 2 instruction overheads (Fig 11).
  *
- * ExperimentRunner generates the benchmark's access log once, up
- * front, and compiles it once on first use. Every step — unbounded,
- * unified, generational — replays that shared compiled log through the
- * blocked kernel (sim::BatchedReplay), pricing costs from one shared
- * set of CostTables: the baselines as one-lane passes, the layouts of
+ * ExperimentRunner generates the benchmark's log once, up front,
+ * straight into compiled form (workload::generateCompiledWorkload),
+ * and holds only that compiled log; log() rebuilds the AccessLog on
+ * its first call. Every step — unbounded, unified, generational —
+ * replays the shared compiled log through the blocked kernel
+ * (sim::BatchedReplay), pricing costs from one shared set of
+ * CostTables: the baselines as one-lane passes, the layouts of
  * compare() as the lanes of a single pass. All replay entry points are
  * const and safe to call concurrently: each builds a private cache
  * hierarchy, so independent configurations can fan out across a
@@ -100,17 +102,18 @@ struct BenchmarkComparison
 class ExperimentRunner
 {
   public:
-    /** Generates the access log eagerly; the runner is immutable
-     *  afterwards (modulo result memoization) and all replay methods
-     *  are const and thread-safe. */
+    /** Generates the compiled log eagerly; the runner is immutable
+     *  afterwards (modulo memoization) and all replay methods are
+     *  const and thread-safe. */
     explicit ExperimentRunner(workload::BenchmarkProfile profile);
 
-    /** The benchmark's access log, shared by every replay. */
-    const tracelog::AccessLog &log() const { return log_; }
+    /** The benchmark's access log, rebuilt from compiled() in one
+     *  pass on the first call, then kept. */
+    const tracelog::AccessLog &log() const;
 
-    /** The log compiled to columnar, dense-id form. Built on first
-     *  use, then shared read-only by every batched replay. */
-    const tracelog::CompiledLog &compiled() const;
+    /** The log in columnar, dense-id form, shared read-only by every
+     *  batched replay. */
+    const tracelog::CompiledLog &compiled() const { return compiled_; }
 
     /** Table 2 cost formulas evaluated once per trace of compiled().
      *  Built on first use, then shared read-only by every blocked
@@ -118,8 +121,8 @@ class ExperimentRunner
     const CostTables &costTables() const;
 
     /** Step 1: unbounded replay of compiled() as a one-lane blocked
-     *  pass; the result's peakBytes is the larger of the replay's
-     *  samples and the unbounded cache's own peak. Memoized. */
+     *  pass; its peakBytes, sampled after every insert, is maxCache.
+     *  Memoized. */
     SimResult runUnbounded() const;
 
     /** Replay compiled() against a unified pseudo-circular cache of
@@ -160,16 +163,16 @@ class ExperimentRunner
 
   private:
     workload::BenchmarkProfile profile_;
-    tracelog::AccessLog log_;
+    tracelog::CompiledLog compiled_;
+
+    mutable std::once_flag logOnce_;
+    mutable std::unique_ptr<tracelog::AccessLog> log_;
 
     mutable Mutex memoMutex_;
     mutable std::optional<SimResult> unbounded_
         GENCACHE_GUARDED_BY(memoMutex_);
     mutable std::map<std::uint64_t, SimResult> unifiedByCapacity_
         GENCACHE_GUARDED_BY(memoMutex_);
-
-    mutable std::once_flag compiledOnce_;
-    mutable std::unique_ptr<tracelog::CompiledLog> compiled_;
 
     mutable std::once_flag costTablesOnce_;
     mutable std::unique_ptr<CostTables> costTables_;

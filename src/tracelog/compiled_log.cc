@@ -112,144 +112,141 @@ chunkEnd(std::size_t i, std::size_t count, TypeAt type_at)
 } // namespace
 
 /**
- * The walk fills the trace tables and module ranges as it hands out
- * dense ids (@p tables true), or, over a log whose tables an earlier
- * walk filled, hands out the same ids in the same order and leaves
- * them be.
+ * The walk hands out dense ids in order of first appearance, one per
+ * TraceId, and a fresh one for a creation after the trace's module
+ * unloaded; over a log whose tables an earlier walk filled (a
+ * column-only builder), it hands out the same ids in the same order.
  */
 struct CompiledLog::Walk
 {
-    Walk(std::size_t expected_traces, bool fill_tables)
-        : remap(expected_traces), tables(fill_tables)
+    Walk(Builder out, std::size_t expected_traces)
+        : builder(std::move(out)), remap(expected_traces)
     {
     }
 
-    DenseTraceId addDense(CompiledLog &out, cache::TraceId id)
+    DenseTraceId addDense(cache::TraceId id)
     {
-        const auto dense = static_cast<DenseTraceId>(createdAt.size());
-        if (tables) {
-            out.originalId_.push_back(id);
-            out.traceSize_.push_back(0);
-            out.traceModule_.push_back(cache::kNoModule);
-        }
         createdAt.push_back(0);
-        pinWanted.push_back(0);
-        return dense;
+        return builder.addTrace(id);
     }
 
-    DenseTraceId denseOf(CompiledLog &out, cache::TraceId id)
+    DenseTraceId denseOf(cache::TraceId id)
     {
-        auto [dense, fresh] = remap.findOrAssign(
-            id, static_cast<DenseTraceId>(createdAt.size()));
+        auto [dense, fresh] = remap.findOrAssign(id, builder.traceCount());
         if (fresh) {
-            addDense(out, id);
+            addDense(id);
         }
         return dense;
     }
 
-    // A module reload re-creates its traces under their canonical ids.
-    // Once the module of a trace's previous creation has unloaded, the
-    // new creation is a fresh trace with its own dense id, so the side
-    // tables keep one size and module per id.
-    bool moduleUnloadedSinceCreation(const CompiledLog &out,
-                                     DenseTraceId dense) const
-    {
-        auto slot = moduleSlot.find(out.traceModule_[dense]);
-        return slot != moduleSlot.end() &&
-               unloadedAt[slot->second] > createdAt[dense];
-    }
+    /** Walk event @p i. */
+    void step(std::size_t i, const Event &event);
 
-    /** Walk event @p i; append its columns to @p out when
-     *  @p columns. */
-    void step(CompiledLog &out, std::size_t i, const Event &event,
-              bool columns);
-
+    Builder builder;
     DenseIdMap remap;
-    bool tables;
-    std::unordered_map<cache::ModuleId, std::size_t> moduleSlot;
-    // 1 + event index of each module slot's latest unload and of each
-    // dense id's creation; 0 for never.
-    std::vector<std::size_t> unloadedAt;
+    /** 1 + event index of each dense id's creation; 0 for never. */
     std::vector<std::size_t> createdAt;
-    std::vector<std::uint8_t> pinWanted;
 };
 
 void
-CompiledLog::Walk::step(CompiledLog &out, std::size_t i,
-                        const Event &event, bool columns)
+CompiledLog::Walk::step(std::size_t i, const Event &event)
 {
-    DenseTraceId dense = 0;
-    std::uint32_t size_bytes = 0;
-    cache::ModuleId module = cache::kNoModule;
     switch (event.type) {
-      case EventType::TraceCreate:
-        dense = denseOf(out, event.trace);
+      case EventType::TraceCreate: {
+        DenseTraceId dense = denseOf(event.trace);
         if (createdAt[dense] != 0) {
-            if (!moduleUnloadedSinceCreation(out, dense)) {
+            // A module reload re-creates its traces under their
+            // canonical ids. Once the module of a trace's previous
+            // creation has unloaded, the new creation is a fresh trace
+            // with its own dense id, so the side tables keep one size
+            // and module per id.
+            if (builder.lastUnload(builder.log().traceModule(dense)) <=
+                createdAt[dense]) {
                 GENCACHE_PANIC("trace {} created twice in log",
                                event.trace);
             }
-            dense = addDense(out, event.trace);
+            dense = addDense(event.trace);
             remap.reassign(event.trace, dense);
         }
         createdAt[dense] = i + 1;
-        pinWanted[dense] = 0;
-        out.traceSize_[dense] = event.sizeBytes;
-        out.traceModule_[dense] = event.module;
-        size_bytes = event.sizeBytes;
-        module = event.module;
+        builder.create(event.time, dense, event.sizeBytes, event.module);
         break;
-      case EventType::TraceExec:
-        dense = denseOf(out, event.trace);
+      }
+      case EventType::TraceExec: {
+        const DenseTraceId dense = denseOf(event.trace);
         if (createdAt[dense] == 0) {
             GENCACHE_PANIC("execution of unknown trace {}", event.trace);
         }
-        break;
-      case EventType::Pin:
-        dense = denseOf(out, event.trace);
-        pinWanted[dense] = 1;
-        break;
-      case EventType::Unpin:
-        dense = denseOf(out, event.trace);
-        pinWanted[dense] = 0;
-        break;
-      case EventType::ModuleLoad:
-      case EventType::ModuleUnload: {
-        module = event.module;
-        auto [it, fresh] = moduleSlot.emplace(module, unloadedAt.size());
-        if (fresh) {
-            unloadedAt.push_back(0);
-            if (tables) {
-                ModuleRange range;
-                range.module = module;
-                range.firstEvent = i;
-                out.moduleRanges_.push_back(range);
-            }
-        }
-        if (event.type == EventType::ModuleUnload) {
-            unloadedAt[it->second] = i + 1;
-        }
-        if (tables) {
-            ModuleRange &range = out.moduleRanges_[it->second];
-            range.lastEvent = i;
-            if (event.type == EventType::ModuleLoad) {
-                ++range.loads;
-            } else {
-                ++range.unloads;
-            }
-        }
+        builder.append(event.type, event.time, dense);
         break;
       }
+      case EventType::Pin:
+      case EventType::Unpin:
+        builder.append(event.type, event.time, denseOf(event.trace));
+        break;
+      case EventType::ModuleLoad:
+      case EventType::ModuleUnload:
+        builder.moduleEvent(i, event.type, event.time, event.module);
+        break;
     }
-    if (columns) {
-        out.type_.push_back(event.type);
-        out.time_.push_back(event.time);
-        out.trace_.push_back(dense);
-        out.size_.push_back(size_bytes);
-        out.module_.push_back(module);
-        out.execPinned_.push_back(
-            event.type == EventType::TraceExec ? pinWanted[dense] : 0);
+}
+
+CompiledLog::Builder::Builder(const AccessLog &header, std::size_t events)
+    : Builder(CompiledLog::header(header), /*tables=*/true,
+              /*columns=*/true)
+{
+    out_.type_.reserve(events);
+    out_.time_.reserve(events);
+    out_.trace_.reserve(events);
+    out_.execPinned_.reserve(events);
+}
+
+CompiledLog::Builder::Builder(CompiledLog out, bool tables, bool columns)
+    : out_(std::move(out)), tables_(tables), columns_(columns)
+{
+}
+
+void
+CompiledLog::Builder::moduleEvent(std::size_t i, EventType type,
+                                  TimeUs time, cache::ModuleId module)
+{
+    auto [it, fresh] = moduleSlot_.emplace(module, unloadedAt_.size());
+    if (fresh) {
+        unloadedAt_.push_back(0);
+        if (tables_) {
+            ModuleRange range;
+            range.module = module;
+            range.firstEvent = i;
+            out_.moduleRanges_.push_back(range);
+        }
     }
+    if (type == EventType::ModuleUnload) {
+        unloadedAt_[it->second] = i + 1;
+    }
+    if (tables_) {
+        ModuleRange &range = out_.moduleRanges_[it->second];
+        range.lastEvent = i;
+        if (type == EventType::ModuleLoad) {
+            ++range.loads;
+        } else {
+            ++range.unloads;
+        }
+    }
+    column(type, time, module, 0);
+}
+
+std::size_t
+CompiledLog::Builder::lastUnload(cache::ModuleId module) const
+{
+    auto slot = moduleSlot_.find(module);
+    return slot == moduleSlot_.end() ? 0 : unloadedAt_[slot->second];
+}
+
+CompiledLog
+CompiledLog::Builder::finish()
+{
+    out_.buildChunks();
+    return std::move(out_);
 }
 
 CompiledLog
@@ -259,8 +256,6 @@ CompiledLog::header(const AccessLog &log)
     out.benchmark_ = log.benchmark();
     out.duration_ = log.duration();
     out.footprint_ = log.footprintBytes();
-    out.createdBytes_ = log.createdTraceBytes();
-    out.createdCount_ = log.createdTraceCount();
     out.moduleUids_ = log.moduleUids();
     return out;
 }
@@ -268,21 +263,48 @@ CompiledLog::header(const AccessLog &log)
 CompiledLog
 CompiledLog::compile(const AccessLog &log)
 {
-    CompiledLog out = header(log);
-    const std::size_t count = log.size();
-    out.type_.reserve(count);
-    out.time_.reserve(count);
-    out.trace_.reserve(count);
-    out.size_.reserve(count);
-    out.module_.reserve(count);
-    out.execPinned_.reserve(count);
-
-    Walk walk(log.createdTraceCount(), /*tables=*/true);
-    for (std::size_t i = 0; i < count; ++i) {
-        walk.step(out, i, log[i], /*columns=*/true);
+    Walk walk(Builder(log, log.size()), log.createdTraceCount());
+    for (std::size_t i = 0; i < log.size(); ++i) {
+        walk.step(i, log[i]);
     }
-    out.buildChunks();
-    return out;
+    return walk.builder.finish();
+}
+
+AccessLog
+CompiledLog::toAccessLog() const
+{
+    std::vector<Event> events;
+    events.reserve(size());
+    for (std::size_t i = 0; i < size(); ++i) {
+        const DenseTraceId ref = trace_[i];
+        Event &event = events.emplace_back();
+        event.type = type_[i];
+        event.time = time_[i];
+        switch (event.type) {
+          case EventType::TraceCreate:
+            event.sizeBytes = traceSize_[ref];
+            event.module = traceModule_[ref];
+            [[fallthrough]];
+          case EventType::TraceExec:
+          case EventType::Pin:
+          case EventType::Unpin:
+            event.trace = originalId_[ref];
+            break;
+          case EventType::ModuleLoad:
+          case EventType::ModuleUnload:
+            event.module = ref;
+            break;
+        }
+    }
+    AccessLog log;
+    log.setBenchmark(benchmark_);
+    log.setDuration(duration_);
+    log.setFootprintBytes(footprint_);
+    for (const auto &[module, uid] : moduleUids_) {
+        log.setModuleUid(module, uid);
+    }
+    log.adoptEvents(std::move(events));
+    return log;
 }
 
 void
@@ -306,23 +328,33 @@ CompiledLog::buildChunks()
 
 CompiledLogWindows::CompiledLogWindows(const AccessLog &log,
                                        std::size_t window_events)
-    : source_(log), windowEvents_(std::max<std::size_t>(1, window_events)),
-      log_(CompiledLog::header(log))
+    : source_(log), windowEvents_(std::max<std::size_t>(1, window_events))
 {
     // The tables walk: execution events hand out no dense ids (an
     // execution of an unknown trace panics in its window's walk).
-    CompiledLog::Walk tables(log.createdTraceCount(), /*tables=*/true);
+    CompiledLog::Walk tables(
+        CompiledLog::Builder(CompiledLog::header(log), /*tables=*/true,
+                             /*columns=*/false),
+        log.createdTraceCount());
     for (std::size_t i = 0; i < log.size(); ++i) {
         if (log[i].type != EventType::TraceExec) {
-            tables.step(log_, i, log[i], /*columns=*/false);
+            tables.step(i, log[i]);
         }
     }
-    walk_ = std::make_unique<CompiledLog::Walk>(log.createdTraceCount(),
-                                                /*tables=*/false);
+    walk_ = std::make_unique<CompiledLog::Walk>(
+        CompiledLog::Builder(tables.builder.finish(), /*tables=*/false,
+                             /*columns=*/true),
+        log.createdTraceCount());
     fill();
 }
 
 CompiledLogWindows::~CompiledLogWindows() = default;
+
+const CompiledLog &
+CompiledLogWindows::log() const
+{
+    return walk_->builder.log();
+}
 
 bool
 CompiledLogWindows::next()
@@ -343,17 +375,16 @@ CompiledLogWindows::fill()
     while (end < count && end - windowEnd_ < windowEvents_) {
         end = chunkEnd(end, count, type_at);
     }
-    log_.type_.clear();
-    log_.time_.clear();
-    log_.trace_.clear();
-    log_.size_.clear();
-    log_.module_.clear();
-    log_.execPinned_.clear();
-    log_.chunks_.clear();
+    CompiledLog &window = walk_->builder.out_;
+    window.type_.clear();
+    window.time_.clear();
+    window.trace_.clear();
+    window.execPinned_.clear();
+    window.chunks_.clear();
     for (std::size_t i = windowEnd_; i < end; ++i) {
-        walk_->step(log_, i, source_[i], /*columns=*/true);
+        walk_->step(i, source_[i]);
     }
-    log_.buildChunks();
+    window.buildChunks();
     windowEnd_ = end;
 }
 

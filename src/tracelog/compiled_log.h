@@ -5,28 +5,31 @@
  * An AccessLog stores events as an array of structs, identifies traces
  * by sparse 64-bit ids, and forces every replay to re-discover
  * per-trace metadata (creation size, owning module) through hash
- * lookups. A CompiledLog is the one-time "compilation" of that log
- * into a replay-friendly shape:
+ * lookups. A CompiledLog is the same log in a replay-friendly shape:
  *
- *   - structure-of-arrays event columns (type / time / trace / size /
- *     module) that replay loops stream sequentially;
+ *   - structure-of-arrays event columns (type / time / trace /
+ *     pin intent) that replay loops stream sequentially;
  *   - a dense remap of every TraceId that appears in the log to
  *     [0, traceCount()), so simulators can keep residency and pin
  *     state in flat vectors instead of hash maps (a trace re-created
  *     by a module reload takes a second dense id);
  *   - per-trace side tables (creation size, owning module, original
- *     id) indexed by dense id, so a conflict-miss regeneration needs
- *     no registry lookup at all;
+ *     id) indexed by dense id, read by creations and conflict-miss
+ *     regenerations alike, with no registry lookup;
  *   - per-module event-range indices for introspection and tooling.
  *
- * Compilation validates the log's replay invariants (no duplicate
- * creations outside a module reload, no execution of unknown traces),
- * so the replay loop can skip those branches.
+ * One CompiledLog::Builder writes every compiled log, event by event
+ * in log order. compile() drives it from an AccessLog through a
+ * TraceId -> dense id remap, validating the log's replay invariants
+ * (no duplicate creations outside a module reload, no execution of
+ * unknown traces) so the replay loop can skip those branches; the
+ * workload generator drives it from its sorted records, whose
+ * per-log trace ordinals need no remap.
  *
- * A CompiledLog is immutable after compile() and safe to share
- * read-only across sweep cells and worker threads.
+ * A CompiledLog is immutable once built and safe to share read-only
+ * across sweep cells and worker threads.
  *
- * The event columns cost 22 bytes an event. A replay that streams a
+ * The event columns cost 14 bytes an event. A replay that streams a
  * log once and needs no second pass (the temporal checker's) can
  * compile it in windows instead (CompiledLogWindows): the trace
  * tables stay whole, the columns hold one window at a time.
@@ -88,6 +91,8 @@ class CompiledLog
         }
     };
 
+    class Builder;
+
     /**
      * Compile @p log. A trace created again after its module unloaded
      * (a module reload) gets a fresh dense id with the same original
@@ -96,6 +101,15 @@ class CompiledLog
      * AccessLog::firstViolation).
      */
     static CompiledLog compile(const AccessLog &log);
+
+    /**
+     * The AccessLog this log holds, rebuilt in one pass into an
+     * exact-size event vector. Each event carries the fields its
+     * type's Event factory sets (a creation its trace's size and
+     * module, a module event its module), so it reproduces every log
+     * built through those factories, which every generated log is.
+     */
+    AccessLog toAccessLog() const;
 
     // --- workload metadata (mirrors AccessLog) ----------------------
     const std::string &benchmark() const { return benchmark_; }
@@ -111,18 +125,11 @@ class CompiledLog
     const std::vector<EventType> &types() const { return type_; }
     const std::vector<TimeUs> &times() const { return time_; }
 
-    /** Dense trace id per event; unused for module events. */
+    /** Per event: the dense trace id of a trace event, the module
+     *  (a cache::ModuleId) of a ModuleLoad or ModuleUnload. A
+     *  creation's size and module are traceSize() and traceModule()
+     *  of its dense id. */
     const std::vector<DenseTraceId> &traces() const { return trace_; }
-
-    /** TraceCreate size per event; 0 elsewhere. */
-    const std::vector<std::uint32_t> &sizes() const { return size_; }
-
-    /** Module per event: owning module for TraceCreate, subject for
-     *  ModuleLoad/ModuleUnload, kNoModule elsewhere. */
-    const std::vector<cache::ModuleId> &modules() const
-    {
-        return module_;
-    }
 
     /**
      * Pin intent per event: whether the event's trace is inside a
@@ -205,8 +212,8 @@ class CompiledLog
   private:
     friend class CompiledLogWindows;
 
-    /** compile()'s walk over the events in log order (the dense-id
-     *  assignment and its checks). */
+    /** compile()'s walk over an AccessLog in log order: the TraceId
+     *  -> dense id remap and its checks, feeding a Builder. */
     struct Walk;
 
     CompiledLog() = default;
@@ -226,8 +233,6 @@ class CompiledLog
     std::vector<EventType> type_;
     std::vector<TimeUs> time_;
     std::vector<DenseTraceId> trace_;
-    std::vector<std::uint32_t> size_;
-    std::vector<cache::ModuleId> module_;
     std::vector<std::uint8_t> execPinned_;
     std::vector<Chunk> chunks_;
 
@@ -237,6 +242,113 @@ class CompiledLog
     std::unordered_map<cache::ModuleId, cache::ModuleUid> moduleUids_;
 
     std::vector<ModuleRange> moduleRanges_;
+};
+
+/**
+ * The one writer of a CompiledLog: its event columns, trace side
+ * tables, created totals and module ranges. Events are appended in log
+ * order, each trace event naming its trace by dense id. The caller
+ * hands out the dense ids through addTrace(), in order of first
+ * appearance, and maps its own trace names to them: compile() through
+ * its TraceId remap, the workload generator through its per-log trace
+ * ordinals.
+ */
+class CompiledLog::Builder
+{
+  public:
+    /** A log with @p header's benchmark, duration, footprint and
+     *  module uids (its events are not read), with column room for
+     *  @p events events. */
+    Builder(const AccessLog &header, std::size_t events);
+
+    /** The log built so far. */
+    const CompiledLog &log() const { return out_; }
+
+    /** Dense ids handed out so far. */
+    DenseTraceId traceCount() const
+    {
+        return static_cast<DenseTraceId>(pinWanted_.size());
+    }
+
+    /** The next dense id, standing for trace @p original; its size
+     *  and module are its create()'s. */
+    DenseTraceId addTrace(cache::TraceId original)
+    {
+        if (tables_) {
+            out_.originalId_.push_back(original);
+            out_.traceSize_.push_back(0);
+            out_.traceModule_.push_back(cache::kNoModule);
+        }
+        pinWanted_.push_back(0);
+        return traceCount() - 1;
+    }
+
+    /** Append a TraceCreate of dense trace @p trace, @p size_bytes
+     *  in @p module. */
+    void create(TimeUs time, DenseTraceId trace, std::uint32_t size_bytes,
+                cache::ModuleId module)
+    {
+        if (tables_) {
+            out_.traceSize_[trace] = size_bytes;
+            out_.traceModule_[trace] = module;
+            out_.createdBytes_ += size_bytes;
+            ++out_.createdCount_;
+        }
+        pinWanted_[trace] = 0;
+        column(EventType::TraceCreate, time, trace, 0);
+    }
+
+    /** Append a TraceExec, Pin or Unpin of dense trace @p trace. */
+    void append(EventType type, TimeUs time, DenseTraceId trace)
+    {
+        std::uint8_t pinned = 0;
+        if (type == EventType::TraceExec) {
+            pinned = pinWanted_[trace];
+        } else {
+            pinWanted_[trace] = type == EventType::Pin ? 1 : 0;
+        }
+        column(type, time, trace, pinned);
+    }
+
+    /** Append a ModuleLoad or ModuleUnload of @p module, event @p i
+     *  of the log. */
+    void moduleEvent(std::size_t i, EventType type, TimeUs time,
+                     cache::ModuleId module);
+
+    /** 1 + the log index of @p module's latest unload so far; 0 when
+     *  it has not unloaded. */
+    std::size_t lastUnload(cache::ModuleId module) const;
+
+    /** Cut the chunks and hand the log over. */
+    CompiledLog finish();
+
+  private:
+    friend class CompiledLogWindows;
+
+    /** Continue @p out: its side tables, created totals and module
+     *  ranges when @p tables, its event columns when @p columns. */
+    Builder(CompiledLog out, bool tables, bool columns);
+
+    void column(EventType type, TimeUs time, std::uint32_t ref,
+                std::uint8_t pinned)
+    {
+        if (columns_) {
+            out_.type_.push_back(type);
+            out_.time_.push_back(time);
+            out_.trace_.push_back(ref);
+            out_.execPinned_.push_back(pinned);
+        }
+    }
+
+    CompiledLog out_;
+    bool tables_;
+    bool columns_;
+    /** Per dense id: inside a pin/unpin window at this log position. */
+    std::vector<std::uint8_t> pinWanted_;
+    /** Per module, in order of first appearance: 1 + the index of its
+     *  latest unload, 0 for never. */
+    std::unordered_map<cache::ModuleId, std::size_t> moduleSlot_;
+    std::vector<std::size_t> unloadedAt_;
 };
 
 /**
@@ -259,7 +371,7 @@ class CompiledLogWindows
     ~CompiledLogWindows();
 
     /** The current window (and the whole log's trace tables). */
-    const CompiledLog &log() const { return log_; }
+    const CompiledLog &log() const;
 
     /** Replace log()'s columns and chunks with the next window.
      *  @return false, changing nothing, after the last window. */
@@ -271,7 +383,7 @@ class CompiledLogWindows
 
     const AccessLog &source_;
     std::size_t windowEvents_;
-    CompiledLog log_;
+    /** The column walk; its builder holds the window. */
     std::unique_ptr<CompiledLog::Walk> walk_;
     std::size_t windowEnd_ = 0; ///< source index after the window
 };

@@ -14,30 +14,10 @@ namespace gencache::workload {
 
 namespace {
 
-using tracelog::Event;
 using tracelog::EventType;
 
-/** Sort rank so simultaneous events land in a legal order; it fills
- *  the low kRankBits of an event's sort key. */
-std::uint64_t
-eventRank(EventType type)
-{
-    switch (type) {
-      case EventType::ModuleLoad: return 0;
-      case EventType::TraceCreate: return 1;
-      case EventType::TraceExec: return 2;
-      case EventType::Pin: return 3;
-      case EventType::Unpin: return 4;
-      case EventType::ModuleUnload: return 5;
-    }
-    return 6;
-}
-
-constexpr int kRankBits = 3;
-/** Key bits each radix pass of sortEvents() orders. */
-constexpr int kDigitBits = 11;
-constexpr std::size_t kRadix = std::size_t{1} << kDigitBits;
-constexpr std::uint64_t kDigitMask = kRadix - 1;
+/** Radix sort of sortRecords(): the most key bits one pass orders. */
+constexpr int kMaxDigitBits = 11;
 
 /**
  * fatal() naming @p owner and the field unless every value in
@@ -73,12 +53,42 @@ sampleLifeClass(Rng &rng, const LifetimeMix &mix)
     return LifeClass::Long;
 }
 
+/** What a trace ordinal stands for: a row of a log's trace table. */
+struct TraceRow
+{
+    cache::TraceId id = cache::kInvalidTrace;
+    std::uint32_t sizeBytes = 0;
+    cache::ModuleId module = cache::kNoModule;
+};
+
+/** A generated log before assembly: its metadata (an AccessLog with no
+ *  events), its trace table and its records. */
+struct Emission
+{
+    tracelog::AccessLog header;
+    std::vector<TraceRow> traces;
+    std::vector<EventRecord> records;
+
+    /** Add a trace to the table. @return its ordinal. */
+    std::uint32_t addTrace(cache::TraceId id, std::uint32_t size,
+                           cache::ModuleId module)
+    {
+        traces.push_back({id, size, module});
+        return static_cast<std::uint32_t>(traces.size() - 1);
+    }
+
+    void emit(TimeUs time, EventType type, std::uint32_t ref)
+    {
+        records.push_back(EventRecord::make(time, type, ref));
+    }
+};
+
 /** Emission context shared by the helpers below. */
 struct GenContext
 {
     const BenchmarkProfile &profile;
     Rng &rng;
-    std::vector<Event> &events;
+    Emission &out;
     TimeUs total;              ///< duration in virtual microseconds
     /** Per-module uid and next code offset: trace ids are canonical
      *  (module uid, offset) keys, offsets laid out cumulatively like
@@ -101,9 +111,9 @@ emitTrace(GenContext &ctx, std::uint32_t size, cache::ModuleId module,
     // the image, advancing by trace size like laid-out code.
     std::uint32_t offset = ctx.nextOffset[module];
     ctx.nextOffset[module] += size;
-    cache::TraceId id =
-        cache::canonicalTraceId(ctx.uids[module], offset);
-    ctx.events.push_back(Event::traceCreate(create, id, size, module));
+    const std::uint32_t trace = ctx.out.addTrace(
+        cache::canonicalTraceId(ctx.uids[module], offset), size, module);
+    ctx.out.emit(create, EventType::TraceCreate, trace);
 
     double execs =
         p.execsPerTraceMean * std::exp(ctx.rng.normal(0.0, 0.9));
@@ -170,11 +180,11 @@ emitTrace(GenContext &ctx, std::uint32_t size, cache::ModuleId module,
             double t = std::clamp(ctx.rng.normal(center, spread),
                                   static_cast<double>(create),
                                   static_cast<double>(last));
-            ctx.events.push_back(
-                Event::traceExec(static_cast<TimeUs>(t), id));
+            ctx.out.emit(static_cast<TimeUs>(t), EventType::TraceExec,
+                         trace);
         }
         // Guarantee the window endpoint so measured lifetimes match.
-        ctx.events.push_back(Event::traceExec(last, id));
+        ctx.out.emit(last, EventType::TraceExec, trace);
     }
 
     if (p.pinFrac > 0.0 && last > create + 4 &&
@@ -185,8 +195,8 @@ emitTrace(GenContext &ctx, std::uint32_t size, cache::ModuleId module,
         TimeUs unpin_at = std::min<TimeUs>(
             last,
             pin_at + std::max<TimeUs>(1, (last - create) / 50));
-        ctx.events.push_back(Event::pin(pin_at, id));
-        ctx.events.push_back(Event::unpin(unpin_at, id));
+        ctx.out.emit(pin_at, EventType::Pin, trace);
+        ctx.out.emit(unpin_at, EventType::Unpin, trace);
     }
 }
 
@@ -233,88 +243,164 @@ mainWindow(GenContext &ctx, LifeClass cls, TimeUs &create, TimeUs &last)
     }
 }
 
+/**
+ * The virtual microseconds of @p seconds, the duration of @p owner;
+ * fatal() unless they stay below EventRecord::kTimeLimit, so every
+ * event time fits a record's key (and the conversion does not
+ * overflow).
+ */
+TimeUs
+durationUs(std::string_view owner, double seconds)
+{
+    if (!(seconds * static_cast<double>(kUsPerSec) <
+          static_cast<double>(EventRecord::kTimeLimit))) {
+        fatal("{} durationSec {} reaches 2^61 us, past the event "
+              "sort key's time bound",
+              owner, seconds);
+    }
+    return secondsToUs(seconds);
+}
+
+/** The AccessLog of @p emission, whose records are sorted. */
+tracelog::AccessLog
+assembleLog(Emission emission)
+{
+    std::vector<tracelog::Event> events;
+    events.reserve(emission.records.size());
+    for (const EventRecord &record : emission.records) {
+        tracelog::Event &event = events.emplace_back();
+        event.type = record.type();
+        event.time = record.time();
+        switch (event.type) {
+          case EventType::TraceCreate:
+            event.sizeBytes = emission.traces[record.ref].sizeBytes;
+            event.module = emission.traces[record.ref].module;
+            [[fallthrough]];
+          case EventType::TraceExec:
+          case EventType::Pin:
+          case EventType::Unpin:
+            event.trace = emission.traces[record.ref].id;
+            break;
+          case EventType::ModuleLoad:
+          case EventType::ModuleUnload:
+            event.module = record.ref;
+            break;
+        }
+    }
+    emission.header.adoptEvents(std::move(events));
+    return std::move(emission.header);
+}
+
+/** The compiled log of @p emission, whose records are sorted. Each
+ *  trace's creation precedes its other events, so the creation hands
+ *  out its dense id. */
+tracelog::CompiledLog
+assembleCompiled(const Emission &emission)
+{
+    tracelog::CompiledLog::Builder builder(emission.header,
+                                           emission.records.size());
+    std::vector<tracelog::DenseTraceId> dense(emission.traces.size());
+    for (std::size_t i = 0; i < emission.records.size(); ++i) {
+        const EventRecord &record = emission.records[i];
+        const EventType type = record.type();
+        switch (type) {
+          case EventType::TraceCreate: {
+            const TraceRow &row = emission.traces[record.ref];
+            dense[record.ref] = builder.addTrace(row.id);
+            builder.create(record.time(), dense[record.ref],
+                           row.sizeBytes, row.module);
+            break;
+          }
+          case EventType::TraceExec:
+          case EventType::Pin:
+          case EventType::Unpin:
+            builder.append(type, record.time(), dense[record.ref]);
+            break;
+          case EventType::ModuleLoad:
+          case EventType::ModuleUnload:
+            builder.moduleEvent(i, type, record.time(), record.ref);
+            break;
+        }
+    }
+    return builder.finish();
+}
+
 } // namespace
 
-void
-sortEvents(std::vector<Event> &events)
+EventRecord
+EventRecord::make(TimeUs time, EventType type, std::uint32_t ref)
 {
-    const std::size_t n = events.size();
+    std::uint64_t rank = 0;
+    switch (type) {
+      case EventType::ModuleLoad: rank = 0; break;
+      case EventType::TraceCreate: rank = 1; break;
+      case EventType::TraceExec: rank = 2; break;
+      case EventType::Pin: rank = 3; break;
+      case EventType::Unpin: rank = 4; break;
+      case EventType::ModuleUnload: rank = 5; break;
+    }
+    return {(time << kRankBits) | rank, ref};
+}
+
+EventType
+EventRecord::type() const
+{
+    static constexpr EventType kByRank[] = {
+        EventType::ModuleLoad, EventType::TraceCreate,
+        EventType::TraceExec,  EventType::Pin,
+        EventType::Unpin,      EventType::ModuleUnload,
+    };
+    return kByRank[key & ((1u << kRankBits) - 1)];
+}
+
+void
+sortRecords(std::vector<EventRecord> &records)
+{
+    const std::size_t n = records.size();
     if (n < 2) {
         return;
     }
-    TimeUs max_time = 0;
-    for (const Event &event : events) {
-        max_time = std::max(max_time, event.time);
+    std::uint64_t max_key = 0;
+    for (const EventRecord &record : records) {
+        max_key = std::max(max_key, record.key);
     }
-    const int index_bits = std::bit_width(n - 1);
-    const int key_bits = std::bit_width(max_time) + kRankBits;
-    if (index_bits + key_bits > 64) {
-        fatal("cannot sort {} events with times up to {} us: their "
-              "sort words need {} bits, more than 64",
-              n, max_time, index_bits + key_bits);
+    // As few passes as kMaxDigitBits allows, the key bits spread
+    // evenly over them: fewer buckets scatter with better locality.
+    const int key_bits = std::bit_width(max_key);
+    const int passes = (key_bits + kMaxDigitBits - 1) / kMaxDigitBits;
+    if (passes == 0) {
+        return;
     }
+    const int digit_bits = (key_bits + passes - 1) / passes;
+    const std::size_t radix = std::size_t{1} << digit_bits;
+    const std::uint64_t mask = radix - 1;
 
-    // Each word is (time << kRankBits | rank) << index_bits | index,
-    // laid out in emission order.
-    std::vector<std::uint64_t> words(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t key =
-            (events[i].time << kRankBits) | eventRank(events[i].type);
-        words[i] = (key << index_bits) | i;
-    }
-
-    // One pass counts every key digit. LSD passes over the key bits
-    // alone are stable, so equal keys keep emission order.
-    const int digits = (key_bits + kDigitBits - 1) / kDigitBits;
+    // One pass counts every digit. LSD passes are stable, so equal
+    // keys keep their order.
     std::vector<std::size_t> counts(
-        static_cast<std::size_t>(digits) * kRadix);
-    for (std::uint64_t word : words) {
-        const std::uint64_t key = word >> index_bits;
-        for (int d = 0; d < digits; ++d) {
-            ++counts[static_cast<std::size_t>(d) * kRadix +
-                     ((key >> (d * kDigitBits)) & kDigitMask)];
+        static_cast<std::size_t>(passes) * radix);
+    for (const EventRecord &record : records) {
+        for (int d = 0; d < passes; ++d) {
+            ++counts[static_cast<std::size_t>(d) * radix +
+                     ((record.key >> (d * digit_bits)) & mask)];
         }
     }
-    std::vector<std::uint64_t> buffer;
-    for (int d = 0; d < digits; ++d) {
-        std::size_t *bucket =
-            &counts[static_cast<std::size_t>(d) * kRadix];
-        const int shift = index_bits + d * kDigitBits;
-        if (bucket[(words[0] >> shift) & kDigitMask] == n) {
+    std::vector<EventRecord> buffer;
+    for (int d = 0; d < passes; ++d) {
+        std::size_t *bucket = &counts[static_cast<std::size_t>(d) * radix];
+        const int shift = d * digit_bits;
+        if (bucket[(records[0].key >> shift) & mask] == n) {
             continue; // a digit every key shares moves nothing
         }
         std::size_t offset = 0;
-        for (std::size_t b = 0; b < kRadix; ++b) {
+        for (std::size_t b = 0; b < radix; ++b) {
             offset += std::exchange(bucket[b], offset);
         }
         buffer.resize(n);
-        for (std::uint64_t word : words) {
-            buffer[bucket[(word >> shift) & kDigitMask]++] = word;
+        for (const EventRecord &record : records) {
+            buffer[bucket[(record.key >> shift) & mask]++] = record;
         }
-        words.swap(buffer);
-    }
-    std::vector<std::uint64_t>().swap(buffer);
-
-    // Slot i takes the event words[i] indexes. Walk each cycle of
-    // that permutation once, marking a slot placed by storing its
-    // own index.
-    const std::uint64_t index_mask =
-        (std::uint64_t{1} << index_bits) - 1;
-    for (std::size_t start = 0; start < n; ++start) {
-        std::size_t from = words[start] & index_mask;
-        if (from == start) {
-            continue;
-        }
-        const Event held = events[start];
-        std::size_t slot = start;
-        while (from != start) {
-            events[slot] = events[from];
-            words[slot] = slot;
-            slot = from;
-            from = words[slot] & index_mask;
-        }
-        events[slot] = held;
-        words[slot] = slot;
+        records.swap(buffer);
     }
 }
 
@@ -328,8 +414,11 @@ sampleTraceSize(Rng &rng, const TraceSizeModel &model)
                    static_cast<double>(model.maxBytes)));
 }
 
-tracelog::AccessLog
-generateWorkload(const BenchmarkProfile &profile)
+namespace {
+
+/** @p profile's log as sorted records. */
+Emission
+emitWorkload(const BenchmarkProfile &profile)
 {
     requireFinite("profile '" + profile.name + "'",
                   {{"durationSec", profile.durationSec},
@@ -353,9 +442,10 @@ generateWorkload(const BenchmarkProfile &profile)
     }
 
     Rng rng(profile.seed);
-    std::vector<Event> events;
-    TimeUs total = secondsToUs(profile.durationSec);
-    GenContext ctx{profile, rng, events, total, {}, {}};
+    Emission out;
+    TimeUs total =
+        durationUs("profile '" + profile.name + "'", profile.durationSec);
+    GenContext ctx{profile, rng, out, total, {}, {}};
 
     // Module identities: the exe plus one entry per transient DLL.
     // Names are salted with the benchmark so uids differ across
@@ -381,7 +471,7 @@ generateWorkload(const BenchmarkProfile &profile)
     TraceSizeModel size_model;
 
     // Main executable is module 0, mapped for the entire run.
-    events.push_back(Event::moduleLoad(0, 0));
+    out.emit(0, EventType::ModuleLoad, 0);
 
     // Transient DLL modules with load/unload windows (Fig 4).
     struct Dll
@@ -403,8 +493,8 @@ generateWorkload(const BenchmarkProfile &profile)
             std::min(0.96, begin + length) *
             static_cast<double>(total));
         dlls.push_back(dll);
-        events.push_back(Event::moduleLoad(dll.load, dll.id));
-        events.push_back(Event::moduleUnload(dll.unload, dll.id));
+        out.emit(dll.load, EventType::ModuleLoad, dll.id);
+        out.emit(dll.unload, EventType::ModuleUnload, dll.id);
     }
 
     // DLL-hosted traces: windows inside their module's mapping, so
@@ -471,19 +561,31 @@ generateWorkload(const BenchmarkProfile &profile)
         main_emitted += size;
     }
 
-    sortEvents(events);
+    sortRecords(out.records);
 
-    tracelog::AccessLog log;
-    log.setBenchmark(profile.name);
-    log.setDuration(total);
-    log.setFootprintBytes(static_cast<std::uint64_t>(
+    out.header.setBenchmark(profile.name);
+    out.header.setDuration(total);
+    out.header.setFootprintBytes(static_cast<std::uint64_t>(
         profile.finalCacheKb * 1024.0 * 100.0 /
         profile.codeExpansionPct));
     for (cache::ModuleId m = 0; m < ctx.uids.size(); ++m) {
-        log.setModuleUid(m, ctx.uids[m]);
+        out.header.setModuleUid(m, ctx.uids[m]);
     }
-    log.adoptEvents(std::move(events));
-    return log;
+    return out;
+}
+
+} // namespace
+
+tracelog::AccessLog
+generateWorkload(const BenchmarkProfile &profile)
+{
+    return assembleLog(emitWorkload(profile));
+}
+
+tracelog::CompiledLog
+generateCompiledWorkload(const BenchmarkProfile &profile)
+{
+    return assembleCompiled(emitWorkload(profile));
 }
 
 namespace {
@@ -543,7 +645,7 @@ generateFleetWorkload(const FleetWorkloadConfig &config)
         fatal("fleet duration must be positive");
     }
 
-    const TimeUs total = secondsToUs(config.durationSec);
+    const TimeUs total = durationUs("fleet", config.durationSec);
 
     // Shared module identities and layouts: functions of the fleet's
     // library *names* only, never of the process.
@@ -590,7 +692,7 @@ generateFleetWorkload(const FleetWorkloadConfig &config)
     logs.reserve(config.processes);
     for (unsigned p = 0; p < config.processes; ++p) {
         Rng rng(config.seed * 7919 + p + 1);
-        std::vector<Event> events;
+        Emission out;
 
         // Private executable: salted per process, so its traces can
         // never deduplicate across the fleet.
@@ -602,18 +704,17 @@ generateFleetWorkload(const FleetWorkloadConfig &config)
                 fatal("fleet module uid collision for '{}'", exeName);
             }
         }
-        events.push_back(Event::moduleLoad(0, 0));
+        out.emit(0, EventType::ModuleLoad, 0);
 
         // Shared DLLs are modules 1..D, mapped from the start, with
         // the fleet storm schedule appended.
         for (unsigned d = 0; d < config.sharedDlls; ++d) {
-            events.push_back(Event::moduleLoad(0, d + 1));
+            out.emit(0, EventType::ModuleLoad, d + 1);
         }
         for (const Storm &storm : storms) {
-            events.push_back(
-                Event::moduleUnload(storm.unload, storm.dll + 1));
-            events.push_back(
-                Event::moduleLoad(storm.reload, storm.dll + 1));
+            out.emit(storm.unload, EventType::ModuleUnload,
+                     storm.dll + 1);
+            out.emit(storm.reload, EventType::ModuleLoad, storm.dll + 1);
         }
 
         // Shared-library traces: each process adopts its own subset
@@ -631,8 +732,9 @@ generateFleetWorkload(const FleetWorkloadConfig &config)
                 }
                 TimeUs create = static_cast<TimeUs>(rng.uniform(
                     1.0, static_cast<double>(createEnd)));
-                events.push_back(Event::traceCreate(
-                    create, trace.id, trace.sizeBytes, d + 1));
+                const std::uint32_t ordinal =
+                    out.addTrace(trace.id, trace.sizeBytes, d + 1);
+                out.emit(create, EventType::TraceCreate, ordinal);
                 double execs = config.execsPerTraceMean *
                                std::exp(rng.normal(0.0, 0.8));
                 auto count = static_cast<std::uint64_t>(std::llround(
@@ -657,8 +759,8 @@ generateFleetWorkload(const FleetWorkloadConfig &config)
                         rng.normal(center, spread),
                         static_cast<double>(create),
                         static_cast<double>(total));
-                    events.push_back(Event::traceExec(
-                        static_cast<TimeUs>(t), trace.id));
+                    out.emit(static_cast<TimeUs>(t),
+                             EventType::TraceExec, ordinal);
                 }
             }
         }
@@ -668,7 +770,7 @@ generateFleetWorkload(const FleetWorkloadConfig &config)
         priv.name = exeName;
         priv.execsPerTraceMean = config.execsPerTraceMean;
         priv.pinFrac = 0.0;
-        GenContext ctx{priv, rng, events, total, {}, {}};
+        GenContext ctx{priv, rng, out, total, {}, {}};
         ctx.uids.assign(1, exeUid);
         ctx.nextOffset.assign(1, 0);
         TraceSizeModel size_model;
@@ -684,21 +786,20 @@ generateFleetWorkload(const FleetWorkloadConfig &config)
             priv_emitted += size;
         }
 
-        sortEvents(events);
+        sortRecords(out.records);
 
-        tracelog::AccessLog log;
-        log.setBenchmark(config.namePrefix + ":proc" +
-                         std::to_string(p));
-        log.setDuration(total);
-        log.setFootprintBytes(static_cast<std::uint64_t>(
+        tracelog::AccessLog &header = out.header;
+        header.setBenchmark(config.namePrefix + ":proc" +
+                            std::to_string(p));
+        header.setDuration(total);
+        header.setFootprintBytes(static_cast<std::uint64_t>(
             priv_target + config.sharedDlls *
                               config.sharedLibKb * 1024.0));
-        log.setModuleUid(0, exeUid);
+        header.setModuleUid(0, exeUid);
         for (unsigned d = 0; d < config.sharedDlls; ++d) {
-            log.setModuleUid(d + 1, sharedUids[d]);
+            header.setModuleUid(d + 1, sharedUids[d]);
         }
-        log.adoptEvents(std::move(events));
-        logs.push_back(std::move(log));
+        logs.push_back(assembleLog(std::move(out)));
     }
     return logs;
 }

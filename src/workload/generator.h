@@ -20,12 +20,19 @@
  *  - a small fraction of traces is pinned briefly (undeletable
  *    traces, §4.2).
  *
- * Events are emitted per trace, then put in log order by one stable
- * sort on (time, rank), the rank placing simultaneous events legally
- * (load, create, exec, pin, unpin, unload); equal keys keep emission
- * order. sortEvents() does it as an LSD radix sort of packed
- * (key, emission index) words, permutes the events in place, and the
- * log adopts the sorted vector whole (AccessLog::adoptEvents).
+ * Events are emitted per trace as 16-byte EventRecords beside a
+ * per-log trace table (each trace's canonical id, size and module,
+ * indexed by the trace's ordinal), then put in log order by one stable
+ * LSD radix sort of the records on their key, time * 8 + rank. The
+ * rank places simultaneous events legally (load, create, exec, pin,
+ * unpin, unload); equal keys keep emission order. Event times stay
+ * below 2^61 so the key fits in 64 bits: a profile or fleet whose
+ * duration does not is fatal() before its microseconds are computed.
+ *
+ * The sorted records are assembled either into an AccessLog
+ * (generateWorkload) or, through tracelog::CompiledLog::Builder, with
+ * a flat ordinal -> dense id table, straight into the compiled log
+ * (generateCompiledWorkload); both describe the same log.
  *
  * Deterministic: a profile (including its seed) always yields the
  * identical log; tests/test_workload.cc pins every catalog profile's
@@ -36,6 +43,7 @@
 #define GENCACHE_WORKLOAD_GENERATOR_H
 
 #include "support/rng.h"
+#include "tracelog/compiled_log.h"
 #include "tracelog/event.h"
 #include "workload/profile.h"
 
@@ -43,6 +51,11 @@ namespace gencache::workload {
 
 /** Generate the access log of @p profile. */
 tracelog::AccessLog generateWorkload(const BenchmarkProfile &profile);
+
+/** Generate the log of @p profile compiled: equal, column for column,
+ *  to tracelog::CompiledLog::compile(generateWorkload(profile)). */
+tracelog::CompiledLog
+generateCompiledWorkload(const BenchmarkProfile &profile);
 
 /**
  * A fleet of interactive guest processes sharing DLLs.
@@ -94,13 +107,30 @@ struct TraceSizeModel
 std::uint32_t sampleTraceSize(Rng &rng, const TraceSizeModel &model);
 
 /**
- * Stably sort @p events by time, simultaneous events by rank (load,
- * create, exec, pin, unpin, unload), ties in their current order.
- * Packs each event's (time << 3 | rank) key above its index into one
- * 64-bit word; fatal() when n events at times up to T need more than
- * 64 bits, bit_width(n - 1) + bit_width(T) + 3. Exposed for tests.
+ * One generated event before log assembly: its sort key and the trace
+ * ordinal (an index into the log's trace table) of a trace event, or
+ * the module of a module event. 16 bytes.
  */
-void sortEvents(std::vector<tracelog::Event> &events);
+struct EventRecord
+{
+    static constexpr int kRankBits = 3;
+    /** Event times stay below this bound, so every key fits. */
+    static constexpr TimeUs kTimeLimit = TimeUs{1} << (64 - kRankBits);
+
+    /** time * 8 + rank, the rank ordering simultaneous events: load,
+     *  create, exec, pin, unpin, unload. */
+    std::uint64_t key = 0;
+    std::uint32_t ref = 0;
+
+    static EventRecord make(TimeUs time, tracelog::EventType type,
+                            std::uint32_t ref);
+    TimeUs time() const { return key >> kRankBits; }
+    tracelog::EventType type() const;
+};
+
+/** Stably sort @p records by key, equal keys in their current order.
+ *  Exposed for tests. */
+void sortRecords(std::vector<EventRecord> &records);
 
 } // namespace gencache::workload
 

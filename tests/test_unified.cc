@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "codecache/list_cache.h"
 #include "codecache/unified_cache.h"
 
 namespace gencache::cache {
@@ -146,7 +147,11 @@ TEST(UnifiedCache, UnboundedTracksPeak)
     }
     manager.invalidateModule(0, 11);
     EXPECT_EQ(manager.usedBytes(), 0u);
-    EXPECT_EQ(manager.peakBytes(), 10'000u);
+    // The unbounded configuration's local cache keeps its own peak.
+    const auto *unbounded =
+        dynamic_cast<const UnboundedCache *>(&manager.local());
+    ASSERT_NE(unbounded, nullptr);
+    EXPECT_EQ(unbounded->peakBytes(), 10'000u);
     EXPECT_EQ(manager.name(), "unified/unbounded");
 }
 

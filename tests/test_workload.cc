@@ -22,8 +22,10 @@
 #include <utility>
 #include <vector>
 
+#include "sim/experiment.h"
 #include "sim_identity.h"
 #include "support/units.h"
+#include "tracelog/compiled_log.h"
 #include "tracelog/lifetime.h"
 #include "workload/generator.h"
 #include "workload/profile.h"
@@ -412,11 +414,42 @@ TEST(GeneratorDeath, RejectsNonFiniteFleetFields)
     }
 }
 
+// A duration of 2^61 us or more would not fit a record's sort key,
+// and converting it to microseconds would overflow: both generators
+// refuse it before converting. Just below the bound, the events sort.
+TEST(GeneratorDeath, RejectsDurationsPastTheSortKey)
+{
+    const double limit_sec =
+        static_cast<double>(EventRecord::kTimeLimit) / 1e6;
+    for (double seconds : {limit_sec, 1e300}) {
+        BenchmarkProfile profile = tinyProfile();
+        profile.durationSec = seconds;
+        EXPECT_EXIT(generateWorkload(profile),
+                    ::testing::ExitedWithCode(1),
+                    "profile 'tiny' durationSec .* reaches 2\\^61 us")
+            << seconds;
+        FleetWorkloadConfig config;
+        config.processes = 1;
+        config.durationSec = seconds;
+        EXPECT_EXIT(generateFleetWorkload(config),
+                    ::testing::ExitedWithCode(1),
+                    "fleet durationSec .* reaches 2\\^61 us")
+            << seconds;
+    }
+
+    BenchmarkProfile profile = tinyProfile();
+    profile.durationSec = 0.999 * limit_sec;
+    const tracelog::AccessLog log = generateWorkload(profile);
+    log.validate();
+    EXPECT_GT(log.events().back().time, EventRecord::kTimeLimit / 2);
+    EXPECT_LT(log.events().back().time, EventRecord::kTimeLimit);
+}
+
 // ---------------------------------------------------------------------
-// sortEvents against std::stable_sort.
+// sortRecords against std::stable_sort.
 // ---------------------------------------------------------------------
 
-/** The reference order sortEvents() must reproduce: std::stable_sort
+/** The reference order sortRecords() must reproduce: std::stable_sort
  *  by time, then by this rank. */
 int
 referenceRank(tracelog::EventType type)
@@ -432,58 +465,52 @@ referenceRank(tracelog::EventType type)
     return 6;
 }
 
-void
-referenceSort(std::vector<tracelog::Event> &events)
+/** @p n records of all six types at times drawn from [lo, hi]; each
+ *  carries its emission index as its ref, so a reordered tie shows. */
+std::vector<EventRecord>
+randomRecords(Rng &rng, std::size_t n, TimeUs lo, TimeUs hi)
 {
-    std::stable_sort(events.begin(), events.end(),
-                     [](const tracelog::Event &a,
-                        const tracelog::Event &b) {
-                         if (a.time != b.time) {
-                             return a.time < b.time;
-                         }
-                         return referenceRank(a.type) <
-                                referenceRank(b.type);
-                     });
-}
-
-/** @p n events of all six types at times drawn from [lo, hi]; each
- *  carries its emission index as its trace id, so a reordered tie
- *  shows. */
-std::vector<tracelog::Event>
-randomEvents(Rng &rng, std::size_t n, TimeUs lo, TimeUs hi)
-{
-    std::vector<tracelog::Event> events(n);
+    std::vector<EventRecord> records;
+    records.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-        tracelog::Event &event = events[i];
-        event.type = static_cast<tracelog::EventType>(
-            rng.uniformInt(0, 5));
-        event.time = lo + static_cast<TimeUs>(rng.uniformInt(
-                              0, static_cast<std::int64_t>(hi - lo)));
-        event.trace = i;
-        event.sizeBytes = static_cast<std::uint32_t>(i * 7);
-        event.module = static_cast<cache::ModuleId>(i % 5);
+        const auto type =
+            static_cast<tracelog::EventType>(rng.uniformInt(0, 5));
+        const TimeUs time =
+            lo + static_cast<TimeUs>(rng.uniformInt(
+                     0, static_cast<std::int64_t>(hi - lo)));
+        records.push_back(EventRecord::make(
+            time, type, static_cast<std::uint32_t>(i)));
+        if (records.back().time() != time ||
+            records.back().type() != type) {
+            ADD_FAILURE() << "record " << i << " does not round-trip";
+        }
     }
-    return events;
+    return records;
 }
 
-/** Expect sortEvents() to put @p events where std::stable_sort does,
- *  every field of every event. */
+/** Expect sortRecords() to put @p records where std::stable_sort by
+ *  (time, rank) does, key and ref of every record. */
 void
-expectSortsLikeStableSort(std::vector<tracelog::Event> events,
+expectSortsLikeStableSort(std::vector<EventRecord> records,
                           const std::string &what)
 {
-    std::vector<tracelog::Event> expected = events;
-    referenceSort(expected);
-    sortEvents(events);
-    ASSERT_EQ(events.size(), expected.size()) << what;
-    for (std::size_t i = 0; i < events.size(); ++i) {
-        const tracelog::Event &a = events[i];
-        const tracelog::Event &b = expected[i];
-        ASSERT_TRUE(a.type == b.type && a.time == b.time &&
-                    a.trace == b.trace && a.sizeBytes == b.sizeBytes &&
-                    a.module == b.module)
-            << what << ": slot " << i << " holds emission " << a.trace
-            << ", std::stable_sort put emission " << b.trace << " there";
+    std::vector<EventRecord> expected = records;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const EventRecord &a, const EventRecord &b) {
+                         if (a.time() != b.time()) {
+                             return a.time() < b.time();
+                         }
+                         return referenceRank(a.type()) <
+                                referenceRank(b.type());
+                     });
+    sortRecords(records);
+    ASSERT_EQ(records.size(), expected.size()) << what;
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        const EventRecord &a = records[i];
+        const EventRecord &b = expected[i];
+        ASSERT_TRUE(a.key == b.key && a.ref == b.ref)
+            << what << ": slot " << i << " holds emission " << a.ref
+            << ", std::stable_sort put emission " << b.ref << " there";
     }
 }
 
@@ -495,16 +522,16 @@ TEST(SortEvents, MatchesStableSortWithHeavyTies)
             for (TimeUs hi : {TimeUs{0}, TimeUs{3}, TimeUs{n / 8},
                               TimeUs{5'000'000}}) {
                 expectSortsLikeStableSort(
-                    randomEvents(rng, n, 0, hi),
+                    randomRecords(rng, n, 0, hi),
                     "seed " + std::to_string(seed) + ", n " +
                         std::to_string(n) + ", times to " +
                         std::to_string(hi));
             }
         }
-        // Enough events for every digit of a long run's key to sort.
+        // Enough records for every digit of a long run's key to sort.
         expectSortsLikeStableSort(
-            randomEvents(rng, 100'000, 0, 400'000'000),
-            "seed " + std::to_string(seed) + ", 100000 events");
+            randomRecords(rng, 100'000, 0, 400'000'000),
+            "seed " + std::to_string(seed) + ", 100000 records");
     }
 }
 
@@ -512,39 +539,26 @@ TEST(SortEvents, OneTimeOneTypeKeepsEmissionOrder)
 {
     // Every key is equal, so every digit pass is skipped and the
     // reference leaves the emission order as it is.
-    Rng rng(5);
-    std::vector<tracelog::Event> events =
-        randomEvents(rng, 2049, 123'456, 123'456);
-    for (tracelog::Event &event : events) {
-        event.type = tracelog::EventType::TraceExec;
+    std::vector<EventRecord> records;
+    for (std::uint32_t i = 0; i < 2049; ++i) {
+        records.push_back(EventRecord::make(
+            123'456, tracelog::EventType::TraceExec, i));
     }
-    expectSortsLikeStableSort(events, "one time, one type");
+    expectSortsLikeStableSort(records, "one time, one type");
 }
 
 TEST(SortEvents, MatchesStableSortAtTheLastKeyBit)
 {
-    // 2049 events need 12 index bits, leaving 52 key bits: times
-    // below 2^49 still pack.
-    const TimeUs top = (TimeUs{1} << 49) - 1;
+    // Times just below 2^61 with the top rank fill all 64 key bits.
+    const TimeUs top = EventRecord::kTimeLimit - 1;
     Rng rng(7);
-    std::vector<tracelog::Event> events =
-        randomEvents(rng, 2049, top - 3, top);
-    std::vector<tracelog::Event> low = randomEvents(rng, 2049, 0, 3);
-    for (std::size_t i = 0; i < events.size(); i += 2) {
-        events[i].time = low[i].time; // both ends of the key range
+    std::vector<EventRecord> records =
+        randomRecords(rng, 2049, top - 3, top);
+    const std::vector<EventRecord> low = randomRecords(rng, 2049, 0, 3);
+    for (std::size_t i = 0; i < records.size(); i += 2) {
+        records[i].key = low[i].key; // both ends of the key range
     }
-    expectSortsLikeStableSort(events, "times to 2^49 - 1");
-}
-
-TEST(SortEventsDeath, RejectsWordsWiderThan64Bits)
-{
-    Rng rng(7);
-    std::vector<tracelog::Event> events =
-        randomEvents(rng, 2049, 0, 3);
-    events[100].time = TimeUs{1} << 49;
-    EXPECT_EXIT(sortEvents(events), ::testing::ExitedWithCode(1),
-                "cannot sort 2049 events with times up to "
-                "562949953421312 us");
+    expectSortsLikeStableSort(records, "times to 2^61 - 1");
 }
 
 // ---------------------------------------------------------------------
@@ -796,6 +810,102 @@ TEST(Generator, DigestCoversEveryField)
         LogFields changed = fields;
         edit(changed);
         EXPECT_NE(digest(events, changed), base) << name;
+    }
+}
+
+// ---------------------------------------------------------------------
+// The generated compiled log against the compile of the generated log.
+// ---------------------------------------------------------------------
+
+/** Expect @p got to equal @p want: metadata, every column, side table,
+ *  chunk and module range. */
+void
+expectSameCompiledLog(const tracelog::CompiledLog &got,
+                      const tracelog::CompiledLog &want,
+                      const std::string &what)
+{
+    EXPECT_EQ(got.benchmark(), want.benchmark()) << what;
+    EXPECT_EQ(got.duration(), want.duration()) << what;
+    EXPECT_EQ(got.footprintBytes(), want.footprintBytes()) << what;
+    EXPECT_EQ(got.createdTraceBytes(), want.createdTraceBytes()) << what;
+    EXPECT_EQ(got.createdTraceCount(), want.createdTraceCount()) << what;
+    EXPECT_TRUE(got.moduleUids() == want.moduleUids()) << what;
+    EXPECT_TRUE(got.types() == want.types()) << what << ": types";
+    EXPECT_TRUE(got.times() == want.times()) << what << ": times";
+    EXPECT_TRUE(got.traces() == want.traces()) << what << ": traces";
+    EXPECT_TRUE(got.execPinned() == want.execPinned())
+        << what << ": execPinned";
+    EXPECT_TRUE(got.originalIds() == want.originalIds())
+        << what << ": originalIds";
+    ASSERT_EQ(got.traceCount(), want.traceCount()) << what;
+    for (tracelog::DenseTraceId id = 0; id < want.traceCount(); ++id) {
+        ASSERT_TRUE(got.traceSize(id) == want.traceSize(id) &&
+                    got.traceModule(id) == want.traceModule(id))
+            << what << ": dense trace " << id;
+    }
+    ASSERT_EQ(got.chunks().size(), want.chunks().size()) << what;
+    for (std::size_t c = 0; c < want.chunks().size(); ++c) {
+        const tracelog::CompiledLog::Chunk &a = got.chunks()[c];
+        const tracelog::CompiledLog::Chunk &b = want.chunks()[c];
+        ASSERT_TRUE(a.first == b.first && a.count == b.count &&
+                    a.typeMask == b.typeMask && a.barrier == b.barrier)
+            << what << ": chunk " << c;
+    }
+    ASSERT_EQ(got.moduleRanges().size(), want.moduleRanges().size())
+        << what;
+    for (std::size_t m = 0; m < want.moduleRanges().size(); ++m) {
+        const tracelog::CompiledLog::ModuleRange &a = got.moduleRanges()[m];
+        const tracelog::CompiledLog::ModuleRange &b =
+            want.moduleRanges()[m];
+        ASSERT_TRUE(a.module == b.module && a.firstEvent == b.firstEvent &&
+                    a.lastEvent == b.lastEvent && a.loads == b.loads &&
+                    a.unloads == b.unloads)
+            << what << ": module range " << m;
+    }
+}
+
+/** Expect @p got to equal @p want: metadata and every field of every
+ *  event. */
+void
+expectSameLog(const tracelog::AccessLog &got,
+              const tracelog::AccessLog &want, const std::string &what)
+{
+    EXPECT_EQ(got.benchmark(), want.benchmark()) << what;
+    EXPECT_TRUE(fieldsOf(got).moduleUids == fieldsOf(want).moduleUids &&
+                got.duration() == want.duration() &&
+                got.footprintBytes() == want.footprintBytes() &&
+                got.createdTraceBytes() == want.createdTraceBytes() &&
+                got.createdTraceCount() == want.createdTraceCount())
+        << what << ": log fields";
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        const tracelog::Event &a = got[i];
+        const tracelog::Event &b = want[i];
+        ASSERT_TRUE(a.type == b.type && a.time == b.time &&
+                    a.trace == b.trace && a.sizeBytes == b.sizeBytes &&
+                    a.module == b.module)
+            << what << ": event " << i;
+    }
+}
+
+// The runner generates its compiled log straight from the sorted
+// records; it must equal the compile of generateWorkload()'s log, and
+// the runner's log() that log itself.
+TEST(CompiledLog, GeneratedMatchesCompile)
+{
+    for (const BenchmarkProfile &base : allProfiles()) {
+        for (double scale : {0.03, 0.25}) {
+            const BenchmarkProfile profile =
+                identity::scaledProfile(base, scale);
+            const std::string what =
+                profile.name + " at scale " + std::to_string(scale);
+            const tracelog::AccessLog log = generateWorkload(profile);
+            const sim::ExperimentRunner runner(profile);
+            expectSameCompiledLog(runner.compiled(),
+                                  tracelog::CompiledLog::compile(log),
+                                  what);
+            expectSameLog(runner.log(), log, what);
+        }
     }
 }
 

@@ -16,10 +16,11 @@
 #      vs the independent Figure-8 model on random topologies and
 #      logs, the live runtime's logs and stats vs their committed
 #      digests, the tier-pipeline adapters vs their committed
-#      digests, the generated logs vs their committed
-#      digests and the packed-word radix sort with its in-place
-#      permutation vs std::stable_sort, the gclog codec vs its
-#      committed encodings and the binary and text corrupt-stream
+#      digests, the generated logs vs their committed digests, the
+#      radix sort of the generator's 16-byte event records vs
+#      std::stable_sort and the compiled log generated from those
+#      records vs the compile of the generated log, the gclog codec
+#      vs its committed encodings and the binary and text corrupt-stream
 #      outcomes, Table 1 and every paper figure vs their committed
 #      digests — the memory-unsafe-optimization tripwires — and the
 #      tool-level fuzz cases, seeded corruptions of those streams fed

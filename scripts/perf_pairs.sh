@@ -21,7 +21,8 @@
 #
 # It prints, for each end-to-end metric of BENCHMARK.json, each side's
 # median and quartiles, the change of the medians, HEAD's wins (ties
-# count for neither side) and a verdict, the first that applies:
+# count for neither side) and a verdict, then every run's value in
+# pair order. The verdict is the first that applies:
 #
 #   gain        HEAD wins at least 9 in 10 of the pairs, and its median
 #               beats BASE's by more than BASE's quartile spread
@@ -193,4 +194,9 @@ for metric in json.load(open(bench_path))["end_to_end"]:
           f"{change:>+7.1f}% {f'{wins}/{pairs}':>10} "
           f"{metric['bound']:>6.0%}  "
           f"{verdict(b, h, wins, lower, metric['bound'])}")
+for metric in json.load(open(bench_path))["end_to_end"]:
+    name = metric["name"]
+    for side, runs in (("BASE", base_runs), ("HEAD", head_runs)):
+        print(f"{name} {side}: " +
+              " ".join(f"{run[name]['value']:.4g}" for run in runs))
 PY

@@ -369,7 +369,7 @@ sortRecords(std::vector<EventRecord> &records)
     const int key_bits = std::bit_width(max_key);
     const int passes = (key_bits + kMaxDigitBits - 1) / kMaxDigitBits;
     if (passes == 0) {
-        return;
+        return; // every key is 0
     }
     const int digit_bits = (key_bits + passes - 1) / passes;
     const std::size_t radix = std::size_t{1} << digit_bits;

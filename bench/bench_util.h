@@ -2,16 +2,17 @@
  * @file
  * Shared helpers for the benchmark harness binaries.
  *
- * paper_figures (Table 1 and every figure, paper_figures.h) and the
- * sweep and ablation benches replay the full benchmark suites by
- * default. Set GENCACHE_SCALE=<factor> (e.g. 0.1) to scale workload
- * volume down proportionally for quick runs — insertion rates and
- * shapes are preserved, absolute sizes shrink.
+ * paper_figures (every table, figure, sweep and ablation,
+ * paper_figures.h), policy_tournament and fleet_replay replay the full
+ * benchmark suites by default. Set GENCACHE_SCALE=<factor> (e.g. 0.1)
+ * to scale workload volume down proportionally for quick runs —
+ * insertion rates and shapes are preserved, absolute sizes shrink.
  */
 
 #ifndef GENCACHE_BENCH_BENCH_UTIL_H
 #define GENCACHE_BENCH_BENCH_UTIL_H
 
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -30,8 +31,9 @@
 namespace gencache::bench {
 
 /** Scale factor from GENCACHE_SCALE (default 1.0, clamped to
- *  [0.01, 10]). A value that is not one whole, finite number is
- *  rejected with a warning in favour of the default. */
+ *  [0.01, 10]). A value that is not one whole, finite, unsigned
+ *  number (starting with a digit or '.') is rejected with a warning
+ *  in favour of the default. */
 inline double
 scaleFactor()
 {
@@ -40,12 +42,14 @@ scaleFactor()
         return 1.0;
     }
     // Accept only a complete decimal number: atof() turned "abc"
-    // into 0, which the clamp below then silently shrank to 0.01.
+    // into 0, which the clamp below then silently shrank to 0.01, and
+    // strtod() alone skips a leading blank or sign (" 0.5", "+0.5").
     char *end = nullptr;
     errno = 0;
     double value = std::strtod(env, &end);
-    if (end == env || *end != '\0' || errno == ERANGE ||
-        !std::isfinite(value)) {
+    if ((!std::isdigit(static_cast<unsigned char>(env[0])) &&
+         env[0] != '.') ||
+        *end != '\0' || errno == ERANGE || !std::isfinite(value)) {
         warn("ignoring invalid GENCACHE_SCALE='{}' (not a finite "
              "number); using 1.0",
              env);

@@ -1,15 +1,19 @@
 #!/usr/bin/env bash
 # Full local CI pipeline:
 #   1. plain release-with-asserts build, warnings as errors
-#      (GENCACHE_WARNINGS_AS_ERRORS=ON), + complete ctest suite
+#      (GENCACHE_WARNINGS_AS_ERRORS=ON), configured with
+#      google-benchmark disabled (nothing may depend on it again),
+#      + complete ctest suite
 #   2. the same suite again under GENCACHE_CHECK=1 (phase-boundary
 #      invariant passes, and the temporal engine as a replay lane's
 #      probe, active inside the runtime and replay tests)
 #   3. ThreadSanitizer build, running the `tsan`-labelled concurrency
 #      tests (thread pool, parallel sweep, the fleet simulator's
-#      racing shared-store processes, and the paper figures measured
-#      on 4 workers) plus the fleet_replay smoke bench — the shared
-#      code store's shard locks under real races
+#      racing shared-store processes, and the `figures` texts — Table
+#      1, the paper figures, Table 2, the §6.1 sweep, the ablations and
+#      the fragmentation study — measured on 4 workers) plus the
+#      fleet_replay smoke bench — the shared code store's shard locks
+#      under real races
 #   4. AddressSanitizer+UBSan build: first the `replay`-, `frontend`-,
 #      `tiers`-, `workload`-, `tracelog`-, `figures`- and
 #      `fuzz`-labelled tests (the replay loop vs its committed rows and
@@ -21,8 +25,10 @@
 #      std::stable_sort and the compiled log generated from those
 #      records vs the compile of the generated log, the gclog codec
 #      vs its committed encodings and the binary and text corrupt-stream
-#      outcomes, Table 1 and every paper figure vs their committed
-#      digests — the memory-unsafe-optimization tripwires — and the
+#      outcomes, the `figures` texts (Table 1, every paper figure,
+#      Table 2, the §6.1 sweep, the ablations and the fragmentation
+#      study) vs their committed digests — the
+#      memory-unsafe-optimization tripwires — and the
 #      tool-level fuzz cases, seeded corruptions of those streams fed
 #      to the sanitized gencheck --journal and logreplay_tool replay),
 #      then the rest of the suite
@@ -40,8 +46,10 @@
 #      and pass every `replay`-, `tiers`- and `figures`-labelled test
 #      (selected by label, so a renamed test is not silently dropped;
 #      they hold the scalar build to the same committed rows and
-#      digests, so it must print the same figures, and to the Figure-8
-#      model) plus the SIMD-kernel and CompiledLog tests
+#      digests, so it must print the same `figures` texts — the paper
+#      figures, Table 2, the §6.1 sweep, the ablations and the
+#      fragmentation study — and to the Figure-8 model) plus the
+#      SIMD-kernel and CompiledLog tests
 #   8. gencheck over the example workloads — topology lints, live
 #      runs, one-lane replays watched by the temporal engine, and
 #      multi-lane replay end states; any diagnostic of severity error
@@ -78,7 +86,9 @@ step() { echo; echo "=== ci: $* ==="; }
 
 step "plain build + full test suite"
 cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DGENCACHE_WARNINGS_AS_ERRORS=ON >/tmp/gencache-ci-configure.log
+    -DGENCACHE_WARNINGS_AS_ERRORS=ON \
+    -DCMAKE_DISABLE_FIND_PACKAGE_benchmark=ON \
+    >/tmp/gencache-ci-configure.log
 cmake --build build-ci -j "$jobs"
 ctest --test-dir build-ci --output-on-failure -j "$jobs"
 

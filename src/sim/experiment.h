@@ -21,7 +21,7 @@
  * compare() as the lanes of a single pass. All replay entry points are
  * const and safe to call concurrently: each builds a private cache
  * hierarchy, so independent configurations can fan out across a
- * ThreadPool (see sim::runSweep). The unbounded pre-pass and the
+ * ThreadPool (see sim::runTournament). The unbounded pre-pass and the
  * unified baselines are memoized (keyed by capacity) so repeated
  * methodology steps never replay them twice.
  */

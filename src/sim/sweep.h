@@ -67,70 +67,21 @@ std::vector<std::uint32_t> defaultSweepThresholds();
 
 /**
  * Run the sweep for @p profile: unbounded pre-pass, unified baseline
- * at half the peak, then every (point, threshold) cell.
- *
- * Sweep points are independent — each threshold column owns private
- * cache hierarchies and replays the runner's shared immutable log — so
- * they fan out across a ThreadPool, one point per task. @p threads
- * selects the worker count: 0 obeys the environment
- * (GENCACHE_THREADS, else hardware concurrency), 1 forces the fully
- * serial path, N uses N workers. Cell results are identical regardless
- * of thread count.
+ * at half the peak, then every (point, threshold) cell. Each point's
+ * threshold column is one blocked pass over the runner's compiled
+ * log, the points one after another on the calling thread; a caller
+ * that sweeps many profiles runs one sweep per pool task instead
+ * (bench/paper_figures.h does).
  */
 SweepResult runSweep(const workload::BenchmarkProfile &profile,
                      const std::vector<SweepPoint> &points,
-                     const std::vector<std::uint32_t> &thresholds,
-                     std::size_t threads = 0);
+                     const std::vector<std::uint32_t> &thresholds);
 
 /** As above, but over a caller-owned @p runner whose workload is
- *  already generated (benchmarks use this to time pure replay). */
+ *  already generated, sharing its memoized baselines. */
 SweepResult runSweep(const ExperimentRunner &runner,
                      const std::vector<SweepPoint> &points,
-                     const std::vector<std::uint32_t> &thresholds,
-                     std::size_t threads = 0);
-
-/** Result of one topology of a topology sweep. */
-struct TopologyCell
-{
-    std::string topology;      ///< TierTopology::name
-    std::size_t tierCount = 0;
-    double missRate = 0.0;
-    double missRateReductionPct = 0.0; ///< vs the unified baseline
-    std::uint64_t promotions = 0;
-    std::uint64_t overheadInstrs = 0;  ///< Table 2 cost-model total
-};
-
-/** Full topology-sweep output for one benchmark. */
-struct TopologySweepResult
-{
-    std::string benchmark;
-    std::uint64_t capacityBytes = 0;
-    double unifiedMissRate = 0.0;
-    std::vector<TopologyCell> cells; ///< one per topology, in order
-
-    /** @return the cell with the highest miss-rate reduction;
-     *  panics when the sweep is empty. */
-    const TopologyCell &best() const;
-};
-
-/**
- * Sweep arbitrary tier topologies (the pipeline generalization of the
- * proportion grid): unbounded pre-pass, unified baseline at half the
- * peak, then every topology in @p topologies over the same budget via
- * batched replay. @p threads fans topology chunks out across a
- * ThreadPool (0 obeys GENCACHE_THREADS); results are identical
- * regardless of thread count.
- */
-TopologySweepResult runTopologySweep(
-    const ExperimentRunner &runner,
-    const std::vector<cache::TierTopology> &topologies,
-    std::size_t threads = 0);
-
-/** As above, generating @p profile's workload first. */
-TopologySweepResult runTopologySweep(
-    const workload::BenchmarkProfile &profile,
-    const std::vector<cache::TierTopology> &topologies,
-    std::size_t threads = 0);
+                     const std::vector<std::uint32_t> &thresholds);
 
 } // namespace gencache::sim
 

@@ -1,5 +1,6 @@
 #include "support/thread_pool.h"
 
+#include <cctype>
 #include <cerrno>
 #include <cstdlib>
 
@@ -18,21 +19,23 @@ ThreadPool::defaultThreadCount()
     if (env == nullptr) {
         return hw;
     }
-    // Accept only a complete decimal number: an empty value, trailing
-    // junk ("8x"), a non-numeric string, or an out-of-range value is
-    // rejected in favour of the hardware default. Silently treating
-    // those as 0 -> 1 thread used to serialize every experiment.
+    // Accept only a complete unsigned decimal number: an empty value,
+    // a leading blank or sign (" 8", "+8", "-3"), trailing junk ("8x"),
+    // a non-numeric string, or an out-of-range value is rejected in
+    // favour of the hardware default. Silently treating those as
+    // 0 -> 1 thread used to serialize every experiment.
     char *end = nullptr;
     errno = 0;
     long value = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || errno == ERANGE) {
+    if (!std::isdigit(static_cast<unsigned char>(env[0])) ||
+        *end != '\0' || errno == ERANGE) {
         warn("ignoring invalid GENCACHE_THREADS='{}' (not a number); "
              "using {} threads",
              env, hw);
         return hw;
     }
     if (value < 1) {
-        return 1;
+        return 1; // "0"
     }
     if (value > 256) {
         return 256;

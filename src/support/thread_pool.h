@@ -2,9 +2,9 @@
  * @file
  * A fixed-size worker pool with futures-based task submission.
  *
- * The experiment engine fans independent simulation cells (sweep grid
- * cells, per-layout comparison runs) out across a ThreadPool. Tasks
- * are arbitrary callables; submit() returns a std::future carrying the
+ * The experiment drivers fan independent work (one benchmark profile
+ * per task in bench/paper_figures, the tournament's shards) out
+ * across a ThreadPool. Tasks are arbitrary callables; submit() returns a std::future carrying the
  * callable's result, and exceptions thrown inside a task propagate to
  * whoever calls future.get().
  *
@@ -74,11 +74,11 @@ class ThreadPool
 
     /**
      * Worker count implied by the environment: GENCACHE_THREADS when
-     * set to a complete decimal number (clamped to [1, 256]),
-     * otherwise hardware_concurrency(), never less than 1. A
-     * malformed GENCACHE_THREADS (empty, non-numeric, trailing junk,
-     * or out of range) is rejected with a logged warning and the
-     * hardware default is used.
+     * set to a complete unsigned decimal number (clamped to
+     * [1, 256]), otherwise hardware_concurrency(), never less than
+     * 1. A malformed GENCACHE_THREADS (empty, a leading blank or
+     * sign, non-numeric, trailing junk, or out of range) is rejected
+     * with a logged warning and the hardware default is used.
      */
     static std::size_t defaultThreadCount();
 

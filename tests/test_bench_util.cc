@@ -47,7 +47,8 @@ class ScopedScaleEnv
 
 TEST(BenchUtil, ScaleFactorRejectsMalformedValues)
 {
-    for (const char *bad : {"abc", "", "0.1x", "nan", "inf"}) {
+    for (const char *bad :
+         {"abc", "", "0.1x", "nan", "inf", " 0.5", "+0.5"}) {
         ScopedScaleEnv env(bad);
         EXPECT_EQ(bench::scaleFactor(), 1.0)
             << "GENCACHE_SCALE='" << bad << "'";

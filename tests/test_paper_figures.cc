@@ -1,12 +1,14 @@
 /**
  * @file
- * The paper's figures pinned by data: the text bench/paper_figures
- * prints for Table 1 and every figure at GENCACHE_SCALE=0.03, one
- * committed row per figure with its line count and FNV-1a. The rows
- * were recorded while the nine per-figure binaries the driver
- * replaced still existed and printed the same bytes. On a mismatch
- * the failure prints the figure and its replacement row; an intended
- * change is recorded by pasting the row over the old one.
+ * The reported results pinned by data: the text bench/paper_figures
+ * prints for Table 1, every figure, Table 2, the §6.1 sweep, the
+ * ablations and the fragmentation study at GENCACHE_SCALE=0.03, one
+ * committed row per text with its line count and FNV-1a. Each row was
+ * recorded while the binary the driver replaced for that text still
+ * existed and printed the same bytes (for the §6.1 sweep, without its
+ * timing lines). On a mismatch the failure prints the text and its
+ * replacement row; an intended change is recorded by pasting the row
+ * over the old one.
  */
 
 #include <gtest/gtest.h>
@@ -23,10 +25,10 @@
 namespace gencache {
 namespace {
 
-/** One figure's committed text: its line count and its FNV-1a. */
+/** One text's committed row: its line count and its FNV-1a. */
 struct GoldenFigure
 {
-    const char *label; ///< the figure's name, in print order
+    const char *label; ///< the text's name, in print order
     std::size_t lines;
     std::uint64_t digest;
 };
@@ -41,9 +43,15 @@ const GoldenFigure kGoldenFigures[] = {
     {"fig9", 60, 0xead5a14955973d28},
     {"fig10", 51, 0xe8cbc99c4650f3d0},
     {"fig11", 52, 0xb02c36761a9138fb},
+    {"table2", 13, 0x8b510fcb39735016},
+    {"sec61", 104, 0x322b9b6cebd5b1b3},
+    {"ablation_local_policy", 21, 0xba17c3d426e56eee},
+    {"ablation_pressure", 13, 0x3238dd3df9cf9e69},
+    {"ablation_eager", 14, 0xe35b41d4071e3887},
+    {"fragmentation_study", 23, 0x0f9ab59995431825},
 };
 
-/** The figures at GENCACHE_SCALE=0.03, measured on @p threads
+/** The texts at GENCACHE_SCALE=0.03, measured on @p threads
  *  workers; the variable's old value is restored afterwards. */
 std::vector<bench::FigureText>
 figuresAtSmallScale(std::size_t threads)
@@ -61,8 +69,8 @@ figuresAtSmallScale(std::size_t threads)
     return figures;
 }
 
-// Every figure's text must be the same at 1 and 4 workers, and must
-// reproduce its committed row.
+// Every text must be the same at 1 and 4 workers, and must reproduce
+// its committed row.
 TEST(PaperFigures, MatchCommittedDigests)
 {
     const std::vector<bench::FigureText> serial = figuresAtSmallScale(1);

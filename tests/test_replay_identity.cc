@@ -456,40 +456,30 @@ cellDigest(const sim::SweepCell &cell)
     return hash.value();
 }
 
-// Whole-sweep equivalence, serial and threaded: every cell of the gcc
-// sweep must be identical on 1 and 4 threads and match its committed
-// row.
+// Whole-sweep equivalence: every cell of the gcc sweep must match its
+// committed row.
 TEST(ReplayIdentity, SweepEnginesProduceIdenticalCells)
 {
     workload::BenchmarkProfile profile = workload::findProfile("gcc");
     auto points = sim::defaultSweepPoints();
     auto thresholds = sim::defaultSweepThresholds();
 
-    sim::SweepResult serial =
-        sim::runSweep(profile, points, thresholds, 1);
-    sim::SweepResult threaded =
-        sim::runSweep(profile, points, thresholds, 4);
-    EXPECT_EQ(serial.benchmark, threaded.benchmark);
-    EXPECT_EQ(serial.capacityBytes, threaded.capacityBytes);
-    EXPECT_EQ(serial.unifiedMissRate, threaded.unifiedMissRate);
-    ASSERT_GT(serial.unifiedMissRate, 0.0);
-    ASSERT_EQ(serial.cells.size(), points.size() * thresholds.size());
-    ASSERT_EQ(threaded.cells.size(), serial.cells.size());
+    sim::SweepResult sweep = sim::runSweep(profile, points, thresholds);
+    ASSERT_GT(sweep.unifiedMissRate, 0.0);
+    ASSERT_EQ(sweep.cells.size(), points.size() * thresholds.size());
 
     identity::Fnv1a baseline;
-    baseline.addText(serial.benchmark);
-    baseline.add(serial.capacityBytes);
-    baseline.add(std::bit_cast<std::uint64_t>(serial.unifiedMissRate));
+    baseline.addText(sweep.benchmark);
+    baseline.add(sweep.capacityBytes);
+    baseline.add(std::bit_cast<std::uint64_t>(sweep.unifiedMissRate));
     expectRow(kGoldenSweepCells, "kGoldenSweepCells", "baseline",
               {baseline.value()});
 
-    for (std::size_t i = 0; i < serial.cells.size(); ++i) {
-        const sim::SweepCell &cell = serial.cells[i];
+    for (std::size_t i = 0; i < sweep.cells.size(); ++i) {
+        const sim::SweepCell &cell = sweep.cells[i];
         EXPECT_EQ(cell.point.label(),
                   points[i / thresholds.size()].label());
         EXPECT_EQ(cell.threshold, thresholds[i % thresholds.size()]);
-        EXPECT_EQ(cellDigest(threaded.cells[i]), cellDigest(cell))
-            << "cell " << i;
         expectRow(kGoldenSweepCells, "kGoldenSweepCells",
                   cell.point.label() + " thr " +
                       std::to_string(cell.threshold),

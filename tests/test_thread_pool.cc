@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <future>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -137,10 +138,17 @@ TEST(ThreadPool, MalformedEnvironmentFallsBackToHardware)
         ScopedThreadsEnv env(nullptr);
         hardware = ThreadPool::defaultThreadCount();
     }
-    // A value that is not a complete decimal number must not silently
-    // become 0 -> 1 thread (it used to serialize every experiment);
-    // it is rejected and the hardware default used instead.
-    for (const char *bad : {"abc", "8x", "", " ", "2.5", "0x4"}) {
+    // A value that is not a complete unsigned decimal number must not
+    // silently become 0 -> 1 thread (it used to serialize every
+    // experiment), nor some other count; it is rejected and the
+    // hardware default used instead. The blank- and sign-led counts
+    // differ from the hardware's, so parsing them as numbers shows.
+    const std::string other = std::to_string(hardware == 2 ? 3 : 2);
+    const std::string blank_led = " " + other;
+    const std::string plus_led = "+" + other;
+    for (const char *bad :
+         {"abc", "8x", "", " ", "2.5", "0x4", "-2", "-3",
+          blank_led.c_str(), plus_led.c_str()}) {
         ScopedThreadsEnv env(bad);
         EXPECT_EQ(ThreadPool::defaultThreadCount(), hardware)
             << "GENCACHE_THREADS='" << bad << "'";
@@ -148,10 +156,6 @@ TEST(ThreadPool, MalformedEnvironmentFallsBackToHardware)
     {
         ScopedThreadsEnv env("99999999999999999999"); // ERANGE
         EXPECT_EQ(ThreadPool::defaultThreadCount(), hardware);
-    }
-    {
-        ScopedThreadsEnv env("-2"); // numeric but nonsense: clamp to 1
-        EXPECT_EQ(ThreadPool::defaultThreadCount(), 1u);
     }
 }
 

@@ -19,7 +19,7 @@
  * Also covered: the fromProportions exact-sum guarantee, pin-bit
  * survival across tier moves, the temperature promotion policy, the
  * pipeline's event-order contracts, and the non-legacy topology
- * catalog end-to-end (sweep, static checks, cost model).
+ * catalog end-to-end (static checks, cost model).
  */
 
 #include <gtest/gtest.h>
@@ -39,7 +39,6 @@
 #include "codecache/unified_cache.h"
 #include "sim/batched_replay.h"
 #include "sim/experiment.h"
-#include "sim/sweep.h"
 #include "sim_identity.h"
 #include "support/units.h"
 #include "workload/generator.h"
@@ -776,33 +775,6 @@ TEST(TemperaturePolicyDeathTest, ZeroHalfLifeRejected)
 }
 
 // --- non-legacy topologies end-to-end ---
-
-TEST(Topology, CatalogSweepsCleanly)
-{
-    workload::BenchmarkProfile profile = workload::findProfile("gzip");
-    const std::vector<cache::TierTopology> &catalog =
-        cache::namedTierTopologies();
-    sim::TopologySweepResult sweep =
-        sim::runTopologySweep(profile, catalog, /*threads=*/1);
-
-    EXPECT_EQ(sweep.benchmark, profile.name);
-    EXPECT_GT(sweep.capacityBytes, 0u);
-    EXPECT_GT(sweep.unifiedMissRate, 0.0);
-    ASSERT_EQ(sweep.cells.size(), catalog.size());
-    for (std::size_t i = 0; i < sweep.cells.size(); ++i) {
-        const sim::TopologyCell &cell = sweep.cells[i];
-        EXPECT_EQ(cell.topology, catalog[i].name);
-        EXPECT_EQ(cell.tierCount, catalog[i].fractions.size());
-        EXPECT_GT(cell.missRate, 0.0) << cell.topology;
-        EXPECT_GT(cell.overheadInstrs, 0u) << cell.topology;
-    }
-    // best() ranks by miss-rate reduction over the unified baseline.
-    const sim::TopologyCell &best = sweep.best();
-    for (const sim::TopologyCell &cell : sweep.cells) {
-        EXPECT_GE(best.missRateReductionPct,
-                  cell.missRateReductionPct);
-    }
-}
 
 TEST(Topology, CatalogPassesStaticChecks)
 {

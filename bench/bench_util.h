@@ -25,7 +25,6 @@
 
 #include "support/logging.h"
 #include "support/simd.h"
-#include "support/thread_pool.h"
 #include "workload/profile.h"
 
 namespace gencache::bench {
@@ -256,26 +255,25 @@ gitRevision()
 }
 
 /** The run-environment stamp every perf artifact carries: where the
- *  numbers came from (revision), and the two knobs that change them
- *  without a code change (worker count, SIMD dispatch). */
+ *  numbers came from (revision), and what changes them without a code
+ *  change (the binary's scale @p factor and @p threads, SIMD dispatch). */
 inline JsonObject
-runMetadata()
+runMetadata(double factor, std::size_t threads)
 {
     JsonObject meta;
     meta.put("git_sha", gitRevision())
-        .put("threads",
-             static_cast<std::uint64_t>(
-                 ThreadPool::defaultThreadCount()))
+        .put("threads", static_cast<std::uint64_t>(threads))
         .put("simd", simd::activeSimdMode())
-        .put("scale", scaleFactor());
+        .put("scale", factor);
     return meta;
 }
 
-/** Write @p object to @p path (stamped with runMetadata() under a
- *  "meta" key) and report where it went.
+/** Write @p object to @p path (stamped with runMetadata(@p factor,
+ *  @p threads) under a "meta" key) and report where it went.
  *  @return false (with a message) when the file cannot be written. */
 inline bool
-writeJsonArtifact(const std::string &path, const JsonObject &object)
+writeJsonArtifact(const std::string &path, const JsonObject &object,
+                  double factor, std::size_t threads)
 {
     std::ofstream out(path);
     if (!out) {
@@ -284,7 +282,7 @@ writeJsonArtifact(const std::string &path, const JsonObject &object)
         return false;
     }
     JsonObject stamped = object;
-    stamped.putRaw("meta", runMetadata().toString());
+    stamped.putRaw("meta", runMetadata(factor, threads).toString());
     out << stamped.toString() << "\n";
     std::printf("\nperf artifact: %s\n", path.c_str());
     return true;

@@ -37,6 +37,7 @@
 
 #include "bench_util.h"
 #include "sim/fleet.h"
+#include "support/thread_pool.h"
 #include "support/units.h"
 #include "tracelog/compiled_log.h"
 #include "workload/generator.h"
@@ -52,7 +53,7 @@ struct FleetBenchCase
 };
 
 std::vector<FleetBenchCase>
-benchCases(bool smoke)
+benchCases(bool smoke, double factor)
 {
     // office8: eight interactive processes over four shared DLLs,
     // no churn — the pure dedup story. storm8: same fleet with three
@@ -79,7 +80,6 @@ benchCases(bool smoke)
             config->durationSec = 5.0;
         }
     } else {
-        const double factor = bench::scaleFactor();
         for (workload::FleetWorkloadConfig *config :
              {&office, &storm}) {
             config->sharedLibKb *= factor;
@@ -126,11 +126,14 @@ main(int argc, char **argv)
     const bool smoke =
         argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
 
+    // The smoke cases apply no scale, so --smoke stamps 1.
+    const double factor = smoke ? 1.0 : bench::scaleFactor();
+    const std::size_t threads = ThreadPool::defaultThreadCount();
     bench::banner("fleet replay: cross-process shared code store");
 
     bench::JsonArray fleets;
     bool passed = true;
-    for (const FleetBenchCase &bench_case : benchCases(smoke)) {
+    for (const FleetBenchCase &bench_case : benchCases(smoke, factor)) {
         std::vector<tracelog::AccessLog> logs =
             workload::generateFleetWorkload(bench_case.workload);
         std::vector<tracelog::CompiledLog> compiled;
@@ -254,7 +257,7 @@ main(int argc, char **argv)
         .putRaw("fleets", fleets.toString());
     if (!bench::writeJsonArtifact(smoke ? "BENCH_shared_smoke.json"
                                         : "BENCH_shared.json",
-                                  artifact)) {
+                                  artifact, factor, threads)) {
         return 1;
     }
     if (!passed) {

@@ -12,7 +12,7 @@
  * study pins more traces (pinFrac 0.01), so its profiles are other
  * logs, each one more task on the pool. A task returns only the small
  * record the texts read (ProfileRecord, FragmentationRecord); its
- * runner, log and compiled log are freed when it ends. The texts are
+ * runner and compiled log are freed when it ends. The texts are
  * then rendered from the records, after every task has finished, so
  * they do not depend on the worker count.
  *
@@ -175,28 +175,22 @@ replayLocalPolicies(const sim::ExperimentRunner &runner,
 
 /** Generate @p profile's log, run compare(paperLayouts()) and the
  *  replays of every text that lists the profile, and keep only what
- *  the texts read. The AccessLog that Figures 2, 3 and 6 read is
- *  rebuilt after compare() and freed before the other replays, so it
- *  is not alive through the sweep (EXPERIMENTS.md, "Every reported
- *  number from one driver", measures the alternatives). */
+ *  the texts read. Figures 2, 3 and 6 read the compiled log. */
 inline ProfileRecord
 measureProfile(const workload::BenchmarkProfile &profile)
 {
     const sim::ExperimentRunner runner(profile);
+    const tracelog::CompiledLog &log = runner.compiled();
     ProfileRecord record;
     record.comparison = runner.compare(sim::paperLayouts());
     const std::uint64_t capacity = record.comparison.capacityBytes;
-    {
-        const tracelog::AccessLog log = runner.compiled().toAccessLog();
-        record.footprintBytes = log.footprintBytes();
-        record.createdBytes = log.createdTraceBytes();
-        record.duration = log.duration();
-        const Histogram lifetimes =
-            tracelog::LifetimeAnalyzer(log).lifetimeHistogram();
-        for (std::size_t bin = 0; bin < lifetimes.binCount(); ++bin) {
-            record.lifetimeFractions.push_back(
-                lifetimes.binFraction(bin));
-        }
+    record.footprintBytes = log.footprintBytes();
+    record.createdBytes = log.createdTraceBytes();
+    record.duration = log.duration();
+    const Histogram lifetimes =
+        tracelog::LifetimeAnalyzer(log).lifetimeHistogram();
+    for (std::size_t bin = 0; bin < lifetimes.binCount(); ++bin) {
+        record.lifetimeFractions.push_back(lifetimes.binFraction(bin));
     }
     if (listed(kSweepProfiles, profile.name)) {
         record.sweep =

@@ -69,7 +69,7 @@ main(int argc, char **argv)
         smoke ? sim::smokeTournamentConfigs()
               : sim::defaultTournamentConfigs();
 
-    std::size_t threads = ThreadPool::defaultThreadCount();
+    const std::size_t threads = ThreadPool::defaultThreadCount();
     bench::banner(format(
         "Policy tournament: {} configurations x {} profiles "
         "({} threads)",
@@ -77,7 +77,7 @@ main(int argc, char **argv)
 
     bench::WallTimer timer;
     sim::TournamentResult result =
-        sim::runTournament(profiles, configs);
+        sim::runTournament(profiles, configs, threads);
     double wall_sec = timer.seconds();
 
     std::printf("replayed %zu configuration-profile pairs in %.2fs\n"
@@ -121,6 +121,6 @@ main(int argc, char **argv)
         .putRaw("pareto", pareto.toString());
     bench::writeJsonArtifact(smoke ? "BENCH_tournament_smoke.json"
                                    : "BENCH_tournament.json",
-                             artifact);
+                             artifact, factor, threads);
     return 0;
 }

@@ -37,7 +37,7 @@ main(int argc, char **argv)
                 profile.durationSec);
 
     sim::ExperimentRunner runner(profile);
-    const tracelog::AccessLog &log = runner.log();
+    const tracelog::CompiledLog &log = runner.compiled();
     std::printf("log: %llu events, %llu traces, %s of trace bytes\n",
                 static_cast<unsigned long long>(log.size()),
                 static_cast<unsigned long long>(

@@ -24,7 +24,7 @@
  * unbounded pre-pass that finds maxCache, then the unified cache. It
  * prints the unified cache's lookups, misses and Table 2 overhead,
  * naming the overhead's trace-generation part (every created trace is
- * generated once, so that part is never 0).
+ * generated once, so that part is never 0). info compiles it too.
  */
 
 #include <cctype>
@@ -186,7 +186,8 @@ cmdReplay(const std::string &path, std::uint64_t capacity)
 int
 cmdInfo(const std::string &path)
 {
-    tracelog::AccessLog log = tracelog::loadLog(path);
+    const tracelog::CompiledLog log =
+        tracelog::CompiledLog::compile(tracelog::loadLog(path));
     tracelog::LifetimeAnalyzer analyzer(log);
     std::printf("benchmark:  %s\n", log.benchmark().c_str());
     std::printf("duration:   %.2f s\n", usToSeconds(log.duration()));

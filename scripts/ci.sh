@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Full local CI pipeline:
-#   1. plain release-with-asserts build, warnings as errors
-#      (GENCACHE_WARNINGS_AS_ERRORS=ON), configured with
-#      google-benchmark disabled (nothing may depend on it again),
-#      + complete ctest suite
+#   1. no CMakeLists.txt may call find_package(benchmark): nothing
+#      may depend on google-benchmark again; then a plain
+#      release-with-asserts build, warnings as errors
+#      (GENCACHE_WARNINGS_AS_ERRORS=ON), + complete ctest suite
 #   2. the same suite again under GENCACHE_CHECK=1 (phase-boundary
 #      invariant passes, and the temporal engine as a replay lane's
 #      probe, active inside the runtime and replay tests)
@@ -85,9 +85,14 @@ fi
 step() { echo; echo "=== ci: $* ==="; }
 
 step "plain build + full test suite"
+if grep -rniE --include=CMakeLists.txt --exclude-dir='build*' \
+    --exclude-dir=.bench_build 'find_package *\( *benchmark\b' .; then
+    echo "ci: nothing may depend on google-benchmark again;" \
+        "drop the find_package(benchmark) above" >&2
+    exit 1
+fi
 cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DGENCACHE_WARNINGS_AS_ERRORS=ON \
-    -DCMAKE_DISABLE_FIND_PACKAGE_benchmark=ON \
     >/tmp/gencache-ci-configure.log
 cmake --build build-ci -j "$jobs"
 ctest --test-dir build-ci --output-on-failure -j "$jobs"

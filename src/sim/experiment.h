@@ -14,8 +14,9 @@
  * ExperimentRunner generates the benchmark's log once, up front,
  * straight into compiled form (workload::generateCompiledWorkload),
  * and holds only that compiled log; log() rebuilds the AccessLog on
- * its first call. Every step — unbounded, unified, generational —
- * replays the shared compiled log through the blocked kernel
+ * its first call, and is kept for perfbench and the tests that pin
+ * it. Every step — unbounded, unified, generational — replays the
+ * shared compiled log through the blocked kernel
  * (sim::BatchedReplay), pricing costs from one shared set of
  * CostTables: the baselines as one-lane passes, the layouts of
  * compare() as the lanes of a single pass. All replay entry points are
@@ -108,7 +109,7 @@ class ExperimentRunner
     explicit ExperimentRunner(workload::BenchmarkProfile profile);
 
     /** The benchmark's access log, rebuilt from compiled() in one
-     *  pass on the first call, then kept. */
+     *  pass on the first call, then kept (for perfbench and tests). */
     const tracelog::AccessLog &log() const;
 
     /** The log in columnar, dense-id form, shared read-only by every

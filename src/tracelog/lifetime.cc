@@ -1,6 +1,6 @@
 #include "tracelog/lifetime.h"
 
-#include "support/logging.h"
+#include <algorithm>
 
 namespace gencache::tracelog {
 
@@ -14,34 +14,31 @@ TraceLifetime::fraction(TimeUs total_time) const
            static_cast<double>(total_time);
 }
 
-LifetimeAnalyzer::LifetimeAnalyzer(const AccessLog &log)
+LifetimeAnalyzer::LifetimeAnalyzer(const CompiledLog &log)
+    : lifetimes_(log.traceCount()), totalTime_(log.duration())
 {
-    std::unordered_map<cache::TraceId, std::size_t> index;
-    totalTime_ = log.duration();
-
-    for (const Event &event : log.events()) {
-        if (totalTime_ < event.time) {
-            totalTime_ = event.time;
-        }
-        if (event.type == EventType::TraceCreate) {
-            TraceLifetime lifetime;
-            lifetime.trace = event.trace;
-            lifetime.firstExec = event.time;
-            lifetime.lastExec = event.time;
-            lifetime.executions = 1;
-            lifetime.sizeBytes = event.sizeBytes;
-            index.emplace(event.trace, lifetimes_.size());
-            lifetimes_.push_back(lifetime);
-        } else if (event.type == EventType::TraceExec) {
-            auto it = index.find(event.trace);
-            if (it == index.end()) {
-                GENCACHE_PANIC("execution of unknown trace {}",
-                               event.trace);
-            }
-            TraceLifetime &lifetime = lifetimes_[it->second];
-            lifetime.lastExec = event.time;
+    const std::vector<EventType> &types = log.types();
+    const std::vector<TimeUs> &times = log.times();
+    const std::vector<DenseTraceId> &traces = log.traces();
+    for (std::size_t i = 0; i < log.size(); ++i) {
+        switch (types[i]) {
+          case EventType::TraceCreate:
+            lifetimes_[traces[i]].firstExec = times[i];
+            [[fallthrough]];
+          case EventType::TraceExec: {
+            TraceLifetime &lifetime = lifetimes_[traces[i]];
+            lifetime.lastExec = times[i];
             ++lifetime.executions;
+            break;
+          }
+          default:
+            break;
         }
+    }
+    // A log's events are in time order, so its last event is its
+    // latest.
+    if (!log.empty()) {
+        totalTime_ = std::max(totalTime_, times.back());
     }
 }
 
@@ -58,33 +55,13 @@ LifetimeAnalyzer::lifetimeHistogram() const
 double
 LifetimeAnalyzer::shortLivedFraction() const
 {
-    if (lifetimes_.empty()) {
-        return 0.0;
-    }
-    std::size_t count = 0;
-    for (const TraceLifetime &lifetime : lifetimes_) {
-        if (lifetime.fraction(totalTime_) < 0.2) {
-            ++count;
-        }
-    }
-    return static_cast<double>(count) /
-           static_cast<double>(lifetimes_.size());
+    return lifetimeHistogram().binFraction(0); // [0, 20%)
 }
 
 double
 LifetimeAnalyzer::longLivedFraction() const
 {
-    if (lifetimes_.empty()) {
-        return 0.0;
-    }
-    std::size_t count = 0;
-    for (const TraceLifetime &lifetime : lifetimes_) {
-        if (lifetime.fraction(totalTime_) >= 0.8) {
-            ++count;
-        }
-    }
-    return static_cast<double>(count) /
-           static_cast<double>(lifetimes_.size());
+    return lifetimeHistogram().binFraction(4); // [80%, 100%]
 }
 
 } // namespace gencache::tracelog

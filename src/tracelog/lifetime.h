@@ -4,7 +4,7 @@
  *
  * lifetime_i = (lastExecution_i - firstExecution_i) / totalTime
  *
- * Lifetimes are measured from the access log itself, never from
+ * Lifetimes are measured from the compiled log itself, never from
  * generator parameters, so the Figure 6 reproduction is an honest
  * measurement of the synthetic workloads.
  */
@@ -12,35 +12,36 @@
 #ifndef GENCACHE_TRACELOG_LIFETIME_H
 #define GENCACHE_TRACELOG_LIFETIME_H
 
-#include <unordered_map>
 #include <vector>
 
 #include "stats/histogram.h"
-#include "tracelog/event.h"
+#include "tracelog/compiled_log.h"
 
 namespace gencache::tracelog {
 
 /** First/last execution bounds of one trace. */
 struct TraceLifetime
 {
-    cache::TraceId trace = cache::kInvalidTrace;
     TimeUs firstExec = 0;
     TimeUs lastExec = 0;
     std::uint64_t executions = 0;
-    std::uint32_t sizeBytes = 0;
 
     /** Equation 2: lifetime as a fraction of @p total_time. */
     double fraction(TimeUs total_time) const;
 };
 
-/** Computes per-trace lifetimes from an access log. */
+/** Computes per-trace lifetimes from a compiled log. */
 class LifetimeAnalyzer
 {
   public:
-    /** Scan @p log (TraceCreate counts as the first execution, since
-     *  creation in DynamoRIO happens on the triggering execution). */
-    explicit LifetimeAnalyzer(const AccessLog &log);
+    /** Scan @p log's type, time and trace columns once (TraceCreate
+     *  counts as the first execution, since creation in DynamoRIO
+     *  happens on the triggering execution). */
+    explicit LifetimeAnalyzer(const CompiledLog &log);
 
+    /** One lifetime per dense id of the log: a trace created again
+     *  after its module reloads has its own dense id, so each
+     *  creation is its own lifetime. */
     const std::vector<TraceLifetime> &lifetimes() const
     {
         return lifetimes_;

@@ -123,9 +123,8 @@ TEST(Integration, GeneratedLifetimesAreUShaped)
     profile.durationSec = 3.0;
     profile.finalCacheKb = 256.0;
 
-    tracelog::AccessLog log = workload::generateWorkload(profile);
-    log.validate();
-    tracelog::LifetimeAnalyzer analyzer(log);
+    tracelog::LifetimeAnalyzer analyzer(
+        workload::generateCompiledWorkload(profile));
     Histogram histogram = analyzer.lifetimeHistogram();
     double extremes =
         histogram.binFraction(0) + histogram.binFraction(4);

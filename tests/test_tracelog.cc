@@ -1046,7 +1046,7 @@ TEST(Lifetime, Equation2)
     log.setDuration(1000);
     log.append(Event::traceCreate(100, 1, 50, 0));
     log.append(Event::traceExec(600, 1));
-    LifetimeAnalyzer analyzer(log);
+    LifetimeAnalyzer analyzer(CompiledLog::compile(log));
     ASSERT_EQ(analyzer.lifetimes().size(), 1u);
     const TraceLifetime &lifetime = analyzer.lifetimes()[0];
     EXPECT_EQ(lifetime.firstExec, 100u);
@@ -1063,7 +1063,7 @@ TEST(Lifetime, HistogramBuckets)
     log.append(Event::traceCreate(0, 2, 10, 0));   // short-lived
     log.append(Event::traceExec(100, 2));
     log.append(Event::traceExec(990, 1));
-    LifetimeAnalyzer analyzer(log);
+    LifetimeAnalyzer analyzer(CompiledLog::compile(log));
     Histogram histogram = analyzer.lifetimeHistogram();
     EXPECT_EQ(histogram.binTotal(0), 1u); // trace 2: 0.1
     EXPECT_EQ(histogram.binTotal(4), 1u); // trace 1: 0.99
@@ -1071,12 +1071,39 @@ TEST(Lifetime, HistogramBuckets)
     EXPECT_DOUBLE_EQ(analyzer.longLivedFraction(), 0.5);
 }
 
+// The seven-event module-reload journal of scripts/ci.sh: trace 42
+// lives from 1 to 2, its module unloads, and the re-created 42 lives
+// from 5 to 6. Each creation is its own lifetime, 1/6 of the run, so
+// neither stretches across the unload.
+TEST(Lifetime, ReloadedTraceIsItsOwnLifetime)
+{
+    AccessLog log;
+    log.setDuration(6);
+    log.append(Event::moduleLoad(0, 1));
+    log.append(Event::traceCreate(1, 42, 64, 1));
+    log.append(Event::traceExec(2, 42));
+    log.append(Event::moduleUnload(3, 1));
+    log.append(Event::moduleLoad(4, 1));
+    log.append(Event::traceCreate(5, 42, 64, 1));
+    log.append(Event::traceExec(6, 42));
+    LifetimeAnalyzer analyzer(CompiledLog::compile(log));
+    ASSERT_EQ(analyzer.lifetimes().size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        const TraceLifetime &lifetime = analyzer.lifetimes()[i];
+        EXPECT_EQ(lifetime.firstExec, 1u + 4 * i) << "creation " << i;
+        EXPECT_EQ(lifetime.lastExec, 2u + 4 * i) << "creation " << i;
+        EXPECT_EQ(lifetime.executions, 2u) << "creation " << i;
+    }
+    EXPECT_DOUBLE_EQ(analyzer.shortLivedFraction(), 1.0);
+    EXPECT_DOUBLE_EQ(analyzer.longLivedFraction(), 0.0);
+}
+
 TEST(Lifetime, NeverExecutedAgainIsZeroLength)
 {
     AccessLog log;
     log.setDuration(1000);
     log.append(Event::traceCreate(500, 7, 10, 0));
-    LifetimeAnalyzer analyzer(log);
+    LifetimeAnalyzer analyzer(CompiledLog::compile(log));
     EXPECT_DOUBLE_EQ(
         analyzer.lifetimes()[0].fraction(analyzer.totalTime()), 0.0);
     EXPECT_DOUBLE_EQ(analyzer.shortLivedFraction(), 1.0);

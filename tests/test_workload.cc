@@ -221,8 +221,7 @@ TEST(Generator, LifetimeShapeTracksMix)
     BenchmarkProfile profile = tinyProfile();
     profile.mix = {0.1, 0.1, 0.8};
     profile.seed = 11;
-    tracelog::AccessLog log = generateWorkload(profile);
-    tracelog::LifetimeAnalyzer analyzer(log);
+    tracelog::LifetimeAnalyzer analyzer(generateCompiledWorkload(profile));
     EXPECT_GT(analyzer.longLivedFraction(), 0.6);
     EXPECT_LT(analyzer.shortLivedFraction(), 0.3);
 }
@@ -231,8 +230,7 @@ TEST(Generator, UShapedLifetimesForDefaults)
 {
     BenchmarkProfile profile = tinyProfile();
     profile.finalCacheKb = 128.0;
-    tracelog::AccessLog log = generateWorkload(profile);
-    tracelog::LifetimeAnalyzer analyzer(log);
+    tracelog::LifetimeAnalyzer analyzer(generateCompiledWorkload(profile));
     Histogram histogram = analyzer.lifetimeHistogram();
     // The extreme buckets dominate the middle ones (Figure 6).
     double extremes =
@@ -275,29 +273,29 @@ TEST(Generator, PollutingMidProducesTwoPlateaus)
     profile.pollutingMid = true;
     profile.execsPerTraceMean = 40.0;
     profile.seed = 23;
-    tracelog::AccessLog log = generateWorkload(profile);
+    const tracelog::CompiledLog log = generateCompiledWorkload(profile);
     tracelog::LifetimeAnalyzer analyzer(log);
 
     // Collect the execution times of one reasonably hot trace and
     // verify a dead middle third (the inter-phase gap).
-    const tracelog::TraceLifetime *victim = nullptr;
-    for (const auto &lifetime : analyzer.lifetimes()) {
-        if (lifetime.executions > 20 &&
-            lifetime.fraction(analyzer.totalTime()) > 0.55) {
-            victim = &lifetime;
-            break;
-        }
+    const std::vector<tracelog::TraceLifetime> &lifetimes =
+        analyzer.lifetimes();
+    std::size_t victim = 0;
+    while (victim < lifetimes.size() &&
+           (lifetimes[victim].executions <= 20 ||
+            lifetimes[victim].fraction(analyzer.totalTime()) <= 0.55)) {
+        ++victim;
     }
-    ASSERT_NE(victim, nullptr);
+    ASSERT_LT(victim, lifetimes.size());
+    const TimeUs first = lifetimes[victim].firstExec;
+    const TimeUs window = lifetimes[victim].lastExec - first;
     std::uint64_t middle = 0;
     std::uint64_t total = 0;
-    TimeUs window = victim->lastExec - victim->firstExec;
-    for (const tracelog::Event &event : log.events()) {
-        if (event.type == tracelog::EventType::TraceExec &&
-            event.trace == victim->trace) {
+    for (std::size_t i = 0; i < log.size(); ++i) {
+        if (log.types()[i] == tracelog::EventType::TraceExec &&
+            log.traces()[i] == victim) {
             ++total;
-            double pos = static_cast<double>(
-                             event.time - victim->firstExec) /
+            double pos = static_cast<double>(log.times()[i] - first) /
                          static_cast<double>(window);
             if (pos > 0.40 && pos < 0.60) {
                 ++middle;

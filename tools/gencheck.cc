@@ -242,8 +242,8 @@ checkJournalSubjects(const std::string &label,
 std::vector<SubjectReport>
 checkBatchedSubjects(const workload::BenchmarkProfile &profile)
 {
-    tracelog::AccessLog log = workload::generateWorkload(profile);
-    tracelog::CompiledLog compiled = tracelog::CompiledLog::compile(log);
+    const tracelog::CompiledLog compiled =
+        workload::generateCompiledWorkload(profile);
 
     auto total = static_cast<std::uint64_t>(
         profile.finalCacheKb * static_cast<double>(kKiB) / 2.0);
